@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -95,14 +94,6 @@ def _t(inst, args):
 def _t_even(inst, args):
     t = _t(inst, args)
     return t if t % 2 == 0 else t + 1
-
-
-def threads_cap():
-    """Worker-count cap from ECCLAB_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ECCLAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _read_text(path):
@@ -270,9 +261,7 @@ def cmd_reduce(args):
 # verify
 
 
-def _verified_value(g, sidecar, args):
-    quantity = sidecar["quantity"]
-    variant = sidecar["variant"]
+def _verified_value(g, quantity, variant, args):
     if quantity == "median":
         _, total = exact_median(g, cap=args.cap)
         return total
@@ -290,32 +279,43 @@ def _verified_value(g, sidecar, args):
     raise SystemExit2(f"sidecar has unknown quantity {quantity!r}")
 
 
-def _expected_from_sidecar(sidecar):
-    side = "yes" if sidecar["answer"] else "no"
-    if side == sidecar["eq_side"]:
-        return "eq", sidecar["yes_value"]
-    return "ge", sidecar["no_bound"]
+def _read_sidecar(path):
+    """The sidecar's quantity, variant and promise.  Every field is read
+    before any solving, so a malformed sidecar is a usage error."""
+    try:
+        sidecar = json.loads(_read_text(path))
+        quantity, variant = sidecar["quantity"], sidecar["variant"]
+        if quantity == "eccentricities":
+            extras = sidecar["extras"]
+            hub = extras.get("hub")
+            hub_ecc = None if hub is None else extras["hub_ecc"]
+            promise = (extras["expected_a_ecc"], sidecar["witness_map"]["a"], hub, hub_ecc)
+        elif ("yes" if sidecar["answer"] else "no") == sidecar["eq_side"]:
+            promise = ("eq", sidecar["yes_value"])
+        else:
+            promise = ("ge", sidecar["no_bound"])
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise SystemExit2(f"malformed sidecar {path}: {type(exc).__name__} {exc}") from exc
+    return quantity, variant, promise
 
 
 def cmd_verify(args):
     g = _load_graph(args)
     if not args.sidecar:
         raise SystemExit2("--sidecar is required for verify")
-    sidecar = json.loads(_read_text(args.sidecar))
-    value = _verified_value(g, sidecar, args)
-    if sidecar["quantity"] == "eccentricities":
-        expected = sidecar["extras"]["expected_a_ecc"]
-        a_ids = sidecar["witness_map"]["a"]
+    quantity, variant, promise = _read_sidecar(args.sidecar)
+    value = _verified_value(g, quantity, variant, args)
+    if quantity == "eccentricities":
+        expected, a_ids, hub, hub_ecc = promise
         got = [value[v] for v in a_ids]
         ok = got == expected
-        hub = sidecar["extras"].get("hub")
         if ok and hub is not None:
-            ok = value[hub] == sidecar["extras"]["hub_ecc"]
+            ok = value[hub] == hub_ecc
         print(f"{'PASS' if ok else 'FAIL'} per-vertex expected={expected} got={got}")
         return 0 if ok else 1
-    rel, target = _expected_from_sidecar(sidecar)
+    rel, target = promise
     ok = value == target if rel == "eq" else value >= target
-    print(f"{'PASS' if ok else 'FAIL'} {sidecar['quantity']} {rel} {target}, computed {value}")
+    print(f"{'PASS' if ok else 'FAIL'} {quantity} {rel} {target}, computed {value}")
     return 0 if ok else 1
 
 

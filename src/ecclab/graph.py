@@ -9,13 +9,9 @@ saturates naturally.
 from __future__ import annotations
 
 import heapq
-import random
 from collections import deque
-from dataclasses import dataclass, field
 
 INF = float("inf")
-
-Dist = "int | float"
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -103,13 +99,6 @@ class Graph:
     def __repr__(self):
         kind = "undirected" if self.undirected else "directed"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
-
-
-@dataclass
-class DistanceVector:
-    source: int
-    direction: str
-    dist: list
 
 
 def _adjacency(g, direction):
@@ -298,22 +287,6 @@ def relabel_topological(g):
     return h, order
 
 
-def induced_subgraph(g, vertices):
-    """Induced subgraph on ``vertices`` (any iterable of original ids).
-
-    Returns (subgraph, order) with order[new_id] = original id; vertices are
-    renumbered in increasing original-id order.
-    """
-    order = sorted(set(vertices))
-    pos = {v: i for i, v in enumerate(order)}
-    edges = [
-        (pos[u], pos[v], w)
-        for u, v, w in g.edges
-        if u in pos and v in pos
-    ]
-    return Graph(len(order), edges, undirected=g.undirected), order
-
-
 def write_graph(g):
     """Serialize to the plain text graph format."""
     kind = "U" if g.undirected else "D"
@@ -354,16 +327,14 @@ def read_graph(text):
             header = (n, m, kind, weighted)
             continue
         n, m, kind, weighted = header
-        if weighted == "1":
-            if len(parts) != 2:
-                raise GraphFormatError(f"expected 'u v': {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
-            w = 1
-        else:
-            if len(parts) != 3:
-                raise GraphFormatError(f"expected 'u v w': {raw!r}")
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
-        edges.append((u, v, w))
+        if weighted == "1" and len(parts) != 2:
+            raise GraphFormatError(f"expected 'u v': {raw!r}")
+        if weighted == "W" and len(parts) != 3:
+            raise GraphFormatError(f"expected 'u v w': {raw!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1]), int(parts[2]) if weighted == "W" else 1))
+        except ValueError as exc:
+            raise GraphFormatError(f"non-integer in edge line: {raw!r}") from exc
     if header is None:
         raise GraphFormatError("missing header line")
     n, m, kind, _ = header

@@ -1,16 +1,19 @@
-"""Static d-dimensional orthogonal range maximum queries, plus the
-three-layered farthest-vertex computation built on top of them.
+"""Static d-dimensional orthogonal range maximum queries, and the exact
+three-layered farthest-vertex computation used by the treewidth solver.
 
-The index is a classic layered range tree: a balanced hierarchy over the
-points sorted by the current coordinate, where every canonical node owns an
-index over the remaining coordinates (or just the running maximum at the last
-level).  Queries decompose a box side into O(log n) canonical nodes.
+RangeMaxIndex is a standalone structure: a classic layered range tree, a
+balanced hierarchy over the points sorted by the current coordinate, where
+every canonical node owns an index over the remaining coordinates (or just
+the running maximum at the last level).  Queries decompose a box side into
+O(log n) canonical nodes.  three_layer_farthest does not use it: at the
+solver's few portals a loop over distinct distance shapes is cheaper.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import add
 
 from .graph import INF
 
@@ -157,101 +160,49 @@ def three_layer_brute(inst):
     return out
 
 
-def _clamp_diff(x, y, big):
-    if x == INF and y == INF:
-        return 0
-    if x == INF:
-        return big
-    if y == INF:
-        return -big
-    return x - y
+def _offset_shape(vec):
+    """Split a distance vector into its minimum (0 when every entry is INF)
+    and its shape, the vector minus that minimum."""
+    low = min(vec, default=INF)
+    if low == INF:
+        low = 0
+    return low, tuple(x - low for x in vec)
 
 
-# Above this many middle-layer vertices the range-tree dimension is too high
-# to be worthwhile; fall back to the (equally exact) triple loop.
-INDEX_MIDDLE_LIMIT = 6
-
-
-def three_layer_farthest(inst, use_index=None):
+def three_layer_farthest(inst):
     """For every a, the farthest c through the middle layer, with witness.
 
-    Exact, including infinite entries.  Finite routes are answered by one
-    range-max query per middle vertex over coordinate-shifted points;
-    infinite answers are detected with subset masks over the middle layer.
+    Exact, including infinite entries, with the same values and witnesses as
+    three_layer_brute.  Each row of d_ab and column of d_bc is split into an
+    offset and a shape (_offset_shape).  Distances to a small middle layer
+    take few shapes, so the min-plus loop runs once per distinct (row shape,
+    column shape) pair, and the offsets are added back.
     """
-    nb, nc = inst.nb, inst.nc
-    if nc == 0:
+    if inst.nc == 0:
         raise ValueError("empty C layer")
-    if nb == 0:
-        return [(INF, 0)] * inst.na
-    if use_index is None:
-        use_index = nb <= INDEX_MIDDLE_LIMIT
-    if not use_index:
-        return three_layer_brute(inst)
-
-    finite = [x for row in inst.d_ab for x in row if x != INF]
-    finite += [x for row in inst.d_bc for x in row if x != INF]
-    big = (max(finite) + 1) if finite else 1
-
-    # Masks of middle vertices with finite entries, for the infinite cases.
-    full = (1 << nb) - 1
-    gmask = [0] * nc
-    for b in range(nb):
-        row = inst.d_bc[b]
-        for c in range(nc):
-            if row[c] != INF:
-                gmask[c] |= 1 << b
-    # rep[m] = some c whose finite-mask is a subset of m.
-    rep = [None] * (1 << nb)
-    for c in range(nc - 1, -1, -1):
-        rep[gmask[c]] = c
-    for bit in range(nb):
-        step = 1 << bit
-        for m in range(1 << nb):
-            if m & step and rep[m] is None:
-                rep[m] = rep[m ^ step]
-
-    # Per middle vertex: points for every c with a finite d_bc[b][c].
-    indexes = []
-    for b in range(nb):
-        row = inst.d_bc[b]
-        pts = []
-        for c in range(nc):
-            if row[c] == INF:
-                continue
-            coords = tuple(
-                _clamp_diff(inst.d_bc[b2][c], row[c], big)
-                for b2 in range(nb)
-                if b2 != b
-            )
-            pts.append((coords, row[c], c))
-        indexes.append(RangeMaxIndex(nb - 1, pts))
-
+    # Per column shape: largest offset, smallest c with that offset, and the
+    # smallest c of the shape (the witness when the shape pair is INF).
+    groups = {}
+    for c, col in enumerate(zip(*inst.d_bc)):
+        off, shape = _offset_shape(col)
+        g = groups.get(shape)
+        if g is None:
+            groups[shape] = [off, c, c]
+        elif off > g[0]:
+            g[0], g[1] = off, c
+    # Per row shape: (value minus the row's offset, witness c).
+    best = {}
     out = []
     for row in inst.d_ab:
-        fmask = 0
-        for b in range(nb):
-            if row[b] != INF:
-                fmask |= 1 << b
-        blocked = rep[full ^ fmask]
-        if blocked is not None:
-            out.append((INF, blocked))
-            continue
-        best = None
-        for b in range(nb):
-            if row[b] == INF:
-                continue
-            box = [
-                (_clamp_diff(row[b], row[b2], big), INF)
-                for b2 in range(nb)
-                if b2 != b
-            ]
-            hit = indexes[b].query(box)
-            if hit is not None:
-                cand = (row[b] + hit[0], hit[1])
-                if best is None or cand[0] > best[0] or (
-                    cand[0] == best[0] and cand[1] < best[1]
-                ):
-                    best = cand
-        out.append(best if best is not None else (INF, 0))
+        off, shape = _offset_shape(row)
+        hit = best.get(shape)
+        if hit is None:
+            hit = (-1, None)
+            for col_shape, (col_off, c_max, c_first) in groups.items():
+                m = min(map(add, shape, col_shape), default=INF)
+                cand = (INF, c_first) if m == INF else (m + col_off, c_max)
+                if cand[0] > hit[0] or (cand[0] == hit[0] and cand[1] < hit[1]):
+                    hit = cand
+            best[shape] = hit
+        out.append((hit[0] + off, hit[1]))
     return out

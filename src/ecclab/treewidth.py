@@ -3,8 +3,9 @@
 The solver follows the divide-and-conquer scheme: split the vertex set along
 a bag of the decomposition into a balanced side with few boundary portals,
 compute portal distances, recurse on both sides augmented with portal-to-
-portal shortcut edges, and resolve the cross-side farthest vertices with the
-three-layered range-max computation.
+portal shortcut edges, and resolve the cross-side farthest vertices through
+the portals with rangemax.three_layer_farthest, a min-plus loop over the
+distinct shapes of the portal distance vectors.
 """
 
 from __future__ import annotations
@@ -90,14 +91,14 @@ class TreeDecomposition:
         missing = set(range(g.n)) - covered
         if missing:
             raise DecompositionError(f"vertices not covered by any bag: {sorted(missing)[:5]}")
-        for u, v, _ in g.edges:
-            if not any(u in b and v in b for b in self.bags):
-                raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
-        # Connectivity: bags containing each vertex must form a subtree.
         where = [[] for _ in range(g.n)]
         for bi, b in enumerate(self.bags):
             for v in b:
                 where[v].append(bi)
+        for u, v, _ in g.edges:
+            if not any(v in self.bags[bi] for bi in where[u]):
+                raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
+        # Connectivity: bags containing each vertex must form a subtree.
         for v in range(g.n):
             if not where[v]:
                 continue
@@ -133,14 +134,17 @@ def read_td(text):
         if not line or line.startswith("c "):
             continue
         parts = line.split()
-        if parts[0] == "s":
-            if len(parts) != 5 or parts[1] != "td":
-                raise DecompositionError(f"bad solution line: {raw!r}")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
-        elif parts[0] == "b":
-            bags[int(parts[1]) - 1] = frozenset(int(x) for x in parts[2:])
-        else:
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+        if parts[0] == "s" and (len(parts) != 5 or parts[1] != "td"):
+            raise DecompositionError(f"bad solution line: {raw!r}")
+        try:
+            if parts[0] == "s":
+                header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            elif parts[0] == "b":
+                bags[int(parts[1]) - 1] = frozenset(int(x) for x in parts[2:])
+            else:
+                edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+        except (ValueError, IndexError) as exc:
+            raise DecompositionError(f"malformed .td line: {raw!r}") from exc
     if header is None:
         raise DecompositionError("missing 's td' line")
     nb = header[0]

@@ -142,3 +142,22 @@ def test_bench_deterministic_modulo_timing(tmp_path, capsys):
         outputs.append([r[:4] + r[5:] for r in rows])
     assert outputs[0] == outputs[1]
     assert outputs[0][0][0] == "algorithm"
+
+
+GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
+
+
+@pytest.mark.parametrize("files, argv", [
+    ({"g.graph": "p 2 1 U 1\n0 x\n"}, ["exact", "--input", "g.graph"]),
+    ({"g.graph": GOOD_GRAPH, "g.td": "s td 1 3 2\nb 1 0 1 y\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": GOOD_GRAPH, "g.json": "{}"},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+], ids=["graph-edge", "td-bag", "sidecar-empty"])
+def test_malformed_input_is_usage_error(tmp_path, capsys, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

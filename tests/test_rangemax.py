@@ -76,20 +76,41 @@ def test_three_layer_exhaustive_tiny():
                 assert [v for v, _ in got] == [v for v, _ in want]
 
 
+def shifted_copies(rng, count, bases):
+    """count vectors, each a random base shape plus a random offset."""
+    out = []
+    for _ in range(count):
+        offset = rng.randint(0, 6)
+        out.append([x + offset for x in rng.choice(bases)])
+    return out
+
+
 def test_three_layer_random_with_infinities():
     rng = random.Random(9)
+    insts = []
     for _ in range(80):
         na, nb, nc = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         def entry():
             return INF if rng.random() < 0.25 else rng.randint(0, 8)
-        inst = ThreeLayerInstance(
+        insts.append(ThreeLayerInstance(
             [[entry() for _ in range(nb)] for _ in range(na)],
             [[entry() for _ in range(nc)] for _ in range(nb)],
-        )
-        want = three_layer_brute(inst)
-        for use_index in (True, False):
-            got = three_layer_farthest(inst, use_index=use_index)
-            assert [v for v, _ in got] == [v for v, _ in want]
+        ))
+    # Rows and columns that are shifted copies of a few base shapes, so the
+    # shape grouping merges many of them; nb reaches 9, the roundtrip middle
+    # layer at 3 portals.
+    for _ in range(120):
+        na, nb, nc = rng.randint(1, 12), rng.randint(1, 9), rng.randint(1, 12)
+        def bases(length):
+            return [[INF if rng.random() < 0.2 else rng.randint(0, 4) for _ in range(length)]
+                    for _ in range(rng.randint(1, 3))]
+        cols = shifted_copies(rng, nc, bases(nb))
+        insts.append(ThreeLayerInstance(shifted_copies(rng, na, bases(nb)), [list(r) for r in zip(*cols)]))
+    for inst in insts:
+        got = three_layer_farthest(inst)
+        assert got == three_layer_brute(inst)
+        for a, (value, c) in enumerate(got):
+            assert min(inst.d_ab[a][b] + inst.d_bc[b][c] for b in range(inst.nb)) == value
 
 
 def test_three_layer_witness_attains_value():

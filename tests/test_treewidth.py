@@ -3,7 +3,8 @@ import random
 import pytest
 
 from conftest import reference_eccentricities
-from ecclab.graph import Graph
+from ecclab import treewidth
+from ecclab.graph import INF, Graph
 from ecclab.oracle import VARIANTS, exact_eccentricities
 from ecclab.seeds import substream
 from ecclab.treewidth import (
@@ -70,14 +71,39 @@ def test_portal_split_separates():
             raise AssertionError(f"edge ({u},{v}) crosses the split")
 
 
+def connected_ktree(seed, variant):
+    """A k=3 k-tree on 200 vertices; for the directed variants both arcs of
+    every edge, each with its own weight in 1..3.  Every distance is finite."""
+    rng = substream(seed, f"tw-connected:{variant}")
+    g, td = generate_partial_ktree(200, 3, 1.0, rng)
+    if variant != "undirected":
+        arcs = [(x, y, rng.randint(1, 3)) for u, v, _ in g.edges for x, y in ((u, v), (v, u))]
+        g = Graph(g.n, arcs)
+    return g, td
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_tw_matches_oracle_undirected_source(variant):
+def test_tw_matches_oracle_undirected_source(variant, monkeypatch):
     for seed in range(6):
         rng = substream(seed, f"tw:{variant}")
         directed = variant != "undirected"
         g, td = generate_partial_ktree(50, 3, 0.75, rng, directed=directed)
         rep = tw_eccentricities(g, td, variant)
         assert rep.ecc == exact_eccentricities(g, variant).ecc
+    splits = []
+
+    def counted_split(*args, **kwargs):
+        splits.append(1)
+        return find_portal_split(*args, **kwargs)
+
+    monkeypatch.setattr(treewidth, "find_portal_split", counted_split)
+    for seed in range(2):
+        g, td = connected_ktree(seed, variant)
+        splits.clear()
+        rep = tw_eccentricities(g, td, variant)
+        assert rep.ecc == exact_eccentricities(g, variant).ecc
+        assert rep.radius != INF
+        assert len(splits) >= 2
 
 
 def test_tw_weighted_graph():
