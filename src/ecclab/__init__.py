@@ -70,8 +70,6 @@ from .gadgets import (
     GadgetError,
     GadgetOutput,
     build_dg,
-    build_hse_graph,
-    build_ov_graph,
     gadget_all_eccentricities,
     gadget_max_radius,
     gadget_median,

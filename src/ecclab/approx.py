@@ -192,16 +192,11 @@ def finite_min_eccentricities(g):
     for i, v in enumerate(order):
         pos[v] = i
 
-    def pass_ok(adj, first_key):
+    def pass_ok(adj, order, pos):
         # ok[i]: every node at position j < i has an edge to a position <= i.
-        first = [None] * k
-        for i in range(k):
-            node = order[i]
-            cands = [pos[v] for v, _ in adj[node]]
-            first[i] = first_key(cands) if cands else None
+        first = [min((pos[v] for v, _ in adj[node]), default=k) for node in order]
         diff = [0] * (k + 1)
-        for j in range(k):
-            f = first[j] if first[j] is not None else k
+        for j, f in enumerate(first):
             # j blocks positions i with j < i < f  (and all i > j if no edge).
             lo, hi = j + 1, f - 1
             if lo <= hi:
@@ -214,17 +209,14 @@ def finite_min_eccentricities(g):
             ok[i] = run == 0
         return ok
 
-    ok_before = pass_ok(dag.adj_out, min)
+    ok_before = pass_ok(dag.adj_out, order, pos)
 
     # Symmetric pass on the reversed order with in-edges.
     rev_order = list(reversed(order))
     rpos = [0] * k
     for i, v in enumerate(rev_order):
         rpos[v] = i
-    saved_order, saved_pos = order, pos
-    order, pos = rev_order, rpos
-    ok_after = pass_ok(dag.adj_in, min)
-    order, pos = saved_order, saved_pos
+    ok_after = pass_ok(dag.adj_in, rev_order, rpos)
 
     node_ok = [False] * k
     for i in range(k):

@@ -116,7 +116,10 @@ def _emit(args, text):
 def _load_graph(args):
     if not args.input:
         raise SystemExit2("--input is required")
-    return read_graph(_read_text(args.input))
+    g = read_graph(_read_text(args.input))
+    if g.n == 0:
+        raise SystemExit2("graph has no vertices")
+    return g
 
 
 class SystemExit2(Exception):

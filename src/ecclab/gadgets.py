@@ -119,45 +119,30 @@ def reduce_hse(inst):
     return [masks[i] for i in kept], kept
 
 
-def build_hse_graph(inst):
-    """Tripartite hitting-set graph A - U - B (a-u iff u in a, u-b iff u in b)
-    after dominated-set preprocessing.  Returns (graph, info dict)."""
-    if inst.mode != HSE:
-        raise GadgetError("build_hse_graph expects an HSE instance")
-    masks_a, kept = reduce_hse(inst)
-    b = GraphBuilder(undirected=True)
+def _members(b, set_ids, masks, elem_ids, into=False, w=1):
+    """One arc of weight w per (set, element of its mask): set -> element, or
+    element -> set when `into`.  `elem_ids` maps universe positions to ids."""
+    for s, mask in zip(set_ids, masks):
+        for j, e in elem_ids.items():
+            if mask >> j & 1:
+                if into:
+                    b.edge(e, s, w)
+                else:
+                    b.edge(s, e, w)
+
+
+def _tripartite(b, masks_a, masks_b, positions, tag, w=1):
+    """The A - U - B / A - C - B graph every gadget starts from.
+
+    Creates ("a", i), (tag, j) for j in positions and ("b", i), in that
+    order, then arcs a -> (tag, j) when j is in a and (tag, j) -> b when j is
+    in b.  Returns (a_ids, mid_ids, b_ids); mid_ids follows positions."""
     a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
-    u_ids = [b.node(("u", j)) for j in range(inst.d)]
-    b_ids = [b.node(("b", i)) for i in range(inst.nb)]
-    for i, mask in enumerate(masks_a):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], u_ids[j])
-    for i, mask in enumerate(inst.list_b):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(u_ids[j], b_ids[i])
-    info = {"a": a_ids, "u": u_ids, "b": b_ids, "kept_a": kept, "masks_a": masks_a}
-    return b.build(), info
-
-
-def build_ov_graph(inst):
-    """Tripartite orthogonality graph A -> C -> B over coordinates C=[d]."""
-    if inst.mode != OV:
-        raise GadgetError("build_ov_graph expects an OV instance")
-    b = GraphBuilder(undirected=False)
-    a_ids = [b.node(("a", i)) for i in range(inst.na)]
-    c_ids = [b.node(("c", j)) for j in range(inst.d)]
-    b_ids = [b.node(("b", i)) for i in range(inst.nb)]
-    for i, mask in enumerate(inst.list_a):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], c_ids[j])
-    for i, mask in enumerate(inst.list_b):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(c_ids[j], b_ids[i])
-    return b.build(), {"a": a_ids, "c": c_ids, "b": b_ids}
+    mid = {j: b.node((tag, j)) for j in positions}
+    b_ids = [b.node(("b", i)) for i in range(len(masks_b))]
+    _members(b, a_ids, masks_a, mid, w=w)
+    _members(b, b_ids, masks_b, mid, into=True, w=w)
+    return a_ids, list(mid.values()), b_ids
 
 
 def _hse_answer(inst):
@@ -179,20 +164,10 @@ def gadget_radius_23(inst, sparsify=False):
     answer, _ = _hse_answer(inst)
     masks_a, _ = reduce_hse(inst)
     b = GraphBuilder(undirected=True)
-    a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
-    u_ids = [b.node(("u", j)) for j in range(inst.d)]
-    b_ids = [b.node(("b", i)) for i in range(inst.nb)]
+    a_ids, u_ids, b_ids = _tripartite(b, masks_a, inst.list_b, range(inst.d), "u")
     x = b.node("x")
     y = b.node("y")
     z = b.node("z")
-    for i, mask in enumerate(masks_a):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], u_ids[j])
-    for i, mask in enumerate(inst.list_b):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(u_ids[j], b_ids[i])
     for a in a_ids:
         b.edge(x, a)
         b.edge(y, a)
@@ -244,22 +219,12 @@ def _canonical_yes_hse():
 
 def _source_like_nodes(b, inst, t, masks_a):
     """Shared skeleton: HSE arcs, b-tails, a-heads behind the hub x."""
-    a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
     present = 0
     for m in masks_a:
         present |= m
     u_keep = [j for j in range(inst.d) if present >> j & 1]
-    u_ids = {j: b.node(("u", j)) for j in u_keep}
-    b_ids = [b.node(("b", i)) for i in range(inst.nb)]
+    a_ids, u_ids, b_ids = _tripartite(b, masks_a, inst.list_b, u_keep, "u")
     x = b.node("x")
-    for i, mask in enumerate(masks_a):
-        for j in u_keep:
-            if mask >> j & 1:
-                b.edge(a_ids[i], u_ids[j])
-    for i, mask in enumerate(inst.list_b):
-        for j in u_keep:
-            if mask >> j & 1:
-                b.edge(u_ids[j], b_ids[i])
     tails = []
     for i, bid in enumerate(b_ids):
         prev = bid
@@ -358,7 +323,7 @@ def gadget_max_radius(inst, t):
     masks_a, _ = reduce_hse(work)
     b = GraphBuilder(undirected=False)
     a_ids, u_ids, b_ids, tails, heads, x = _source_like_nodes(b, work, t, masks_a)
-    for v in list(u_ids.values()) + b_ids + tails + heads:
+    for v in u_ids + b_ids + tails + heads:
         b.edge(v, x)
     g = b.build()
     if g.n < 2:
@@ -401,9 +366,10 @@ def gadget_roundtrip_radius(inst):
     a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
     core = []
     for copy in (1, 2):
+        ucs, uds = {}, {}
         for j in range(work.d):
-            uc = b.node(("uc", copy, j))
-            ud = b.node(("ud", copy, j))
+            uc = ucs[j] = b.node(("uc", copy, j))
+            ud = uds[j] = b.node(("ud", copy, j))
             e1 = b.node(("e", copy, j, 0))
             e2 = b.node(("e", copy, j, 1))
             c1 = b.node(("c", copy, j, 0))
@@ -449,12 +415,9 @@ def gadget_roundtrip_radius(inst):
                     b.edge(a, c1)
                     b.edge(s2, a)
                     b.edge(t2, a)
-        for i, mask in enumerate(work.list_b):
-            bb = b.node(("b", copy, i))
-            for j in range(work.d):
-                if mask >> j & 1:
-                    b.edge(b.index[("uc", copy, j)], bb)
-                    b.edge(bb, b.index[("ud", copy, j)])
+        bb_ids = [b.node(("b", copy, i)) for i in range(work.nb)]
+        _members(b, bb_ids, work.list_b, ucs, into=True)
+        _members(b, bb_ids, work.list_b, uds)
     g = b.build()
     if g.n < 2:
         g = Graph(2, [])
@@ -471,8 +434,6 @@ def gadget_roundtrip_radius(inst):
         bags = [core_set if core_set else frozenset({0})]
     tree = [(i, i + 1) for i in range(len(bags) - 1)]
     pw = TreeDecomposition(bags, tree) if g.n > 2 or core else None
-    if g.n == 2 and not core:
-        pw = None
     return GadgetOutput(
         graph=g,
         variant=ROUNDTRIP,
@@ -585,17 +546,7 @@ def gadget_min_radius_dag(inst, t):
         work = _canonical_yes_hse()
     masks_a, _ = reduce_hse(work)
     b = GraphBuilder(undirected=False)
-    a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
-    u_ids = [b.node(("u", j)) for j in range(work.d)]
-    b_ids = [b.node(("b", i)) for i in range(work.nb)]
-    for i, mask in enumerate(masks_a):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], u_ids[j])
-    for i, mask in enumerate(work.list_b):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(u_ids[j], b_ids[i])
+    a_ids, u_ids, b_ids = _tripartite(b, masks_a, work.list_b, range(work.d), "u")
     for i, bid in enumerate(b_ids):
         prev = bid
         for step in range(1, t):
@@ -655,17 +606,7 @@ def gadget_min_diameter_dag(inst):
     if not answer and (inst.na == 0 or inst.nb == 0):
         work = _canonical_no_ov()
     b = GraphBuilder(undirected=False)
-    a_ids = [b.node(("a", i)) for i in range(work.na)]
-    c_ids = [b.node(("c", j)) for j in range(work.d)]
-    b_ids = [b.node(("b", i)) for i in range(work.nb)]
-    for i, mask in enumerate(work.list_a):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], c_ids[j])
-    for i, mask in enumerate(work.list_b):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(c_ids[j], b_ids[i])
+    a_ids, c_ids, b_ids = _tripartite(b, work.list_a, work.list_b, range(work.d), "c")
     dg_a = _attach_dg(b, a_ids, 1, "dga")
     dg_b = _attach_dg(b, b_ids, 1, "dgb")
     dg_c = _attach_dg(b, c_ids, 1, "dgc")
@@ -711,20 +652,10 @@ def gadget_min_diameter_weighted(inst, t):
         work = _canonical_no_ov()
     h = t // 2
     b = GraphBuilder(undirected=False)
-    a_ids = [b.node(("a", i)) for i in range(work.na)]
-    c_ids = [b.node(("c", j)) for j in range(work.d)]
-    b_ids = [b.node(("b", i)) for i in range(work.nb)]
+    a_ids, c_ids, b_ids = _tripartite(b, work.list_a, work.list_b, range(work.d), "c", w=h)
     x = b.node("x")
     y = b.node("y")
     z = b.node("z")
-    for i, mask in enumerate(work.list_a):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], c_ids[j], h)
-    for i, mask in enumerate(work.list_b):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(c_ids[j], b_ids[i], h)
     for a in a_ids:
         b.edge(a, x, 1)
         b.edge(x, a, t)
@@ -758,19 +689,9 @@ def gadget_min_diameter_weighted(inst, t):
 
 def _diameter_23_edges(work):
     b = GraphBuilder(undirected=True)
-    a_ids = [b.node(("a", i)) for i in range(work.na)]
-    c_ids = [b.node(("c", j)) for j in range(work.d)]
-    b_ids = [b.node(("b", i)) for i in range(work.nb)]
+    a_ids, c_ids, b_ids = _tripartite(b, work.list_a, work.list_b, range(work.d), "c")
     x = b.node("x")
     y = b.node("y")
-    for i, mask in enumerate(work.list_a):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], c_ids[j])
-    for i, mask in enumerate(work.list_b):
-        for j in range(work.d):
-            if mask >> j & 1:
-                b.edge(c_ids[j], b_ids[i])
     for a in a_ids:
         b.edge(x, a)
     for bb in b_ids:
@@ -843,20 +764,10 @@ def gadget_all_eccentricities(inst):
     if inst.na == 0 or inst.nb == 0:
         raise GadgetError("both vector sets must be nonempty")
     b = GraphBuilder(undirected=True)
-    a_ids = [b.node(("a", i)) for i in range(inst.na)]
-    c_ids = [b.node(("c", j)) for j in range(inst.d)]
-    b_ids = [b.node(("b", i)) for i in range(inst.nb)]
+    a_ids, c_ids, b_ids = _tripartite(b, inst.list_a, inst.list_b, range(inst.d), "c")
     x = b.node("x")
     y = b.node("y")
     b.edge(x, y)
-    for i, mask in enumerate(inst.list_a):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], c_ids[j])
-    for i, mask in enumerate(inst.list_b):
-        for j in range(inst.d):
-            if mask >> j & 1:
-                b.edge(c_ids[j], b_ids[i])
     for a in a_ids:
         b.edge(x, a)
     for c in c_ids:
@@ -946,27 +857,20 @@ def gadget_median(inst):
     p = max(1, n * d, 2 * na + 2 * nb + 4 * d + 8)
     b = GraphBuilder(undirected=True)
     a_ids = [b.node(("a", i)) for i in range(na)]
-    u_ids = [b.node(("u", j)) for j in range(d)]
-    un_ids = [b.node(("un", j)) for j in range(d)]
+    u_ids = {j: b.node(("u", j)) for j in range(d)}
+    un_ids = {j: b.node(("un", j)) for j in range(d)}
     b_ids = [b.node(("b", i)) for i in range(nb)]
     x = b.node("x")
     y = b.node("y")
     z = b.node("z")
-    for i, mask in enumerate(list_a):
-        for j in range(d):
-            if mask >> j & 1:
-                b.edge(a_ids[i], u_ids[j])
-            else:
-                b.edge(a_ids[i], un_ids[j])
-    for i, mask in enumerate(list_b):
-        for j in range(d):
-            if mask >> j & 1:
-                b.edge(u_ids[j], b_ids[i])
+    _members(b, a_ids, list_a, u_ids)
+    _members(b, a_ids, [~m for m in list_a], un_ids)
+    _members(b, b_ids, list_b, u_ids, into=True)
     for a in a_ids:
         b.edge(x, a)
     for bb in b_ids:
         b.edge(y, bb)
-    for un in un_ids:
+    for un in un_ids.values():
         b.edge(z, un)
     for i in range(p):
         b.edge(x, b.node(("px", i)))

@@ -88,6 +88,9 @@ class TreeDecomposition:
         if cnt != nb:
             raise DecompositionError("bag tree is not connected")
         covered = set().union(*self.bags) if self.bags else set()
+        outside = [v for v in covered if not 0 <= v < g.n]
+        if outside:
+            raise DecompositionError(f"bag vertices outside 0..{g.n - 1}: {sorted(outside)[:5]}")
         missing = set(range(g.n)) - covered
         if missing:
             raise DecompositionError(f"vertices not covered by any bag: {sorted(missing)[:5]}")

@@ -153,7 +153,13 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
      ["tw", "--input", "g.graph", "--td", "g.td"]),
     ({"g.graph": GOOD_GRAPH, "g.json": "{}"},
      ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
-], ids=["graph-edge", "td-bag", "sidecar-empty"])
+    ({"g.graph": GOOD_GRAPH, "g.td": "s td 1 3 2\nb 1 0 1 5\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": GOOD_GRAPH, "g.td": "s td 1 3 2\nb 1 0 1 -1\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": "p 0 0 U 1\n"}, ["exact", "--input", "g.graph"]),
+], ids=["graph-edge", "td-bag", "sidecar-empty", "td-vertex-high", "td-vertex-negative",
+        "graph-empty"])
 def test_malformed_input_is_usage_error(tmp_path, capsys, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -6,6 +6,8 @@ import pytest
 
 from ecclab.gadgets import (
     GadgetError,
+    GraphBuilder,
+    _tripartite,
     build_dg,
     gadget_all_eccentricities,
     gadget_max_radius,
@@ -250,6 +252,48 @@ def test_reduce_hse_preserves_answer():
             for j, a2 in enumerate(masks_a):
                 if i != j:
                     assert a | a2 != a2
+
+
+def test_tripartite_builder_random():
+    rng = random.Random(3)
+    seen = set()
+    for trial in range(300):
+        d = 1 + trial % 16
+        masks_a, masks_b = (
+            [rng.getrandbits(d) & rng.getrandbits(d) for _ in range(rng.randint(0, 6))]
+            for _ in "ab"
+        )
+        if trial % 2:
+            positions = sorted(rng.sample(range(d), rng.randint(0, d - 1)))
+        else:
+            positions = list(range(d))
+        w = rng.randint(1, 4)
+        b = GraphBuilder()
+        a_ids, mid_ids, b_ids = _tripartite(b, masks_a, masks_b, positions, "m", w)
+        labels = ([("a", i) for i in range(len(masks_a))] + [("m", j) for j in positions]
+                  + [("b", i) for i in range(len(masks_b))])
+        assert b.labels == labels
+        assert a_ids + mid_ids + b_ids == list(range(len(labels)))
+        mid = dict(zip(positions, mid_ids))
+        expected = [(a_ids[i], mid[j], w)
+                    for i, m in enumerate(masks_a) for j in positions if m & (1 << j)]
+        expected += [(mid[j], b_ids[i], w)
+                     for i, m in enumerate(masks_b) for j in positions if m & (1 << j)]
+        assert sorted(b.edges) == sorted(expected)
+        used = 0
+        for m in masks_a + masks_b:
+            used |= m
+        if d == 16:
+            seen.add("d = 16")
+        if 0 in masks_a + masks_b:
+            seen.add("empty set")
+        if used != (1 << d) - 1:
+            seen.add("element in no set")
+        if len(positions) < d:
+            seen.add("strict subset")
+        if w > 1:
+            seen.add("w > 1")
+    assert seen == {"d = 16", "empty set", "element in no set", "strict subset", "w > 1"}
 
 
 @pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64])
