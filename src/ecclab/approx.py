@@ -25,7 +25,7 @@ from .graph import (
     topological_order,
     truncated_shortest_paths,
 )
-from .oracle import MAX, ROUNDTRIP, SOURCE, UNDIRECTED, check_variant, pair_distance
+from .oracle import MAX, ROUNDTRIP, SOURCE, UNDIRECTED, check_variant, pair_row
 
 
 @dataclass
@@ -335,11 +335,5 @@ def trivial_metric_estimate(g, variant, probe=0):
         raise ValueError("probe out of range")
     fwd = shortest_paths(g, probe, FORWARD)
     bwd = shortest_paths(g, probe, BACKWARD) if variant != UNDIRECTED else fwd
-    e = 0
-    for v in range(g.n):
-        if v == probe:
-            continue
-        d = pair_distance(variant, fwd[v], bwd[v])
-        if d > e:
-            e = d
+    e = max(pair_row(variant, fwd, bwd))
     return ApproxResult(e, probe, (Fraction(1), Fraction(2)), whp=False)

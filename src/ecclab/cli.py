@@ -133,6 +133,8 @@ class SystemExit2(Exception):
 def cmd_gen(args):
     rng = substream(args.seed, f"gen:{args.kind}")
     if args.kind == "partial-ktree":
+        if args.k < 0 or args.n < args.k + 1:
+            raise SystemExit2(f"partial-ktree needs 0 <= k < n (n={args.n}, k={args.k})")
         g, td = generate_partial_ktree(
             args.n, args.k, args.edge_keep_prob, rng, directed=args.directed
         )
@@ -140,16 +142,18 @@ def cmd_gen(args):
         _write_text(args.output + ".td", write_td(td, g.n))
         print(f"partial-ktree n={g.n} m={g.m} k={args.k} width={td.width}")
         return 0
-    if args.kind == "dg":
-        g = build_dg(args.size, args.t if args.t is not None else 1)
-        _write_text(args.output + ".graph", write_graph(g))
-        print(f"dg n={g.n} m={g.m}")
-        return 0
-    if args.kind not in GADGET_KINDS:
-        raise SystemExit2(f"unknown generator kind {args.kind!r}")
-    mode, build = GADGET_KINDS[args.kind]
-    inst = random_instance(args.na, args.nb, args.d, mode, rng, density=args.density)
     try:
+        if args.kind == "dg":
+            g, _ = build_dg(args.size, args.t if args.t is not None else 1)
+            _write_text(args.output + ".graph", write_graph(g))
+            print(f"dg n={g.n} m={g.m}")
+            return 0
+        if args.kind not in GADGET_KINDS:
+            raise SystemExit2(f"unknown generator kind {args.kind!r}")
+        if min(args.na, args.nb, args.d) < 0:
+            raise SystemExit2("--na, --nb and --d must be nonnegative")
+        mode, build = GADGET_KINDS[args.kind]
+        inst = random_instance(args.na, args.nb, args.d, mode, rng, density=args.density)
         out = build(inst, args)
     except GadgetError as exc:
         raise SystemExit2(f"gadget rejected the instance: {exc}")

@@ -321,6 +321,8 @@ def read_graph(text):
                 n, m = int(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise GraphFormatError(f"bad header counts: {raw!r}") from exc
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"negative header counts: {raw!r}")
             kind, weighted = parts[3], parts[4]
             if kind not in ("D", "U") or weighted not in ("W", "1"):
                 raise GraphFormatError(f"bad header flags: {raw!r}")

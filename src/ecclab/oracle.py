@@ -2,12 +2,17 @@
 all five distance semantics, and the median.
 
 Everything here is the trusted reference the rest of the package is tested
-against, so it stays simple: n single-source runs, then double loops.
+against, so it stays simple: n single-source runs give the distance matrix,
+then each vertex's eccentricity is one reduction of its row (source,
+undirected) or of its row paired with its column (max, min, roundtrip)
+under the variant's pair combiner, done by the builtins ``max``, ``map`` and
+``sum`` with no Python-level loop per pair.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .graph import FORWARD, INF, Graph, shortest_paths
@@ -31,19 +36,34 @@ class VariantError(ValueError):
     """Raised for an unknown variant or a variant/graph mismatch."""
 
 
+def _forward(d_uv, d_vu):
+    return d_uv
+
+
+# Each variant's pair distance from u to v as a function of d(u -> v) and
+# d(v -> u), in that order.  Every combiner maps (0, 0) to 0, so a vertex's
+# own diagonal entry never raises its eccentricity.
+PAIR_COMBINERS = {
+    UNDIRECTED: _forward,
+    SOURCE: _forward,
+    MAX: max,
+    MIN: min,
+    ROUNDTRIP: operator.add,
+}
+
+
 def pair_distance(variant, d_uv, d_vu):
     """Combine the two one-way distances into the variant's pair distance."""
-    if variant == SOURCE:
-        return d_uv
-    if variant == MAX:
-        return max(d_uv, d_vu)
-    if variant == MIN:
-        return min(d_uv, d_vu)
-    if variant == ROUNDTRIP:
-        return d_uv + d_vu
-    if variant == UNDIRECTED:
-        return d_uv
-    raise VariantError(f"unknown variant {variant!r}")
+    if variant not in PAIR_COMBINERS:
+        raise VariantError(f"unknown variant {variant!r}")
+    return PAIR_COMBINERS[variant](d_uv, d_vu)
+
+
+def pair_row(variant, out_row, in_row):
+    """The variant's pair distances from a vertex u to every v, lazily, given
+    out_row[v] = d(u -> v) and in_row[v] = d(v -> u)."""
+    op = PAIR_COMBINERS[variant]
+    return out_row if op is _forward else map(op, out_row, in_row)
 
 
 def check_variant(g, variant):
@@ -120,36 +140,29 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     """Eccentricities of every vertex under the chosen variant, exactly.
 
     ecc[c] is the maximum over v != c of the variant's pair distance from c;
-    a single isolated vertex has eccentricity 0.
+    a single isolated vertex has eccentricity 0.  The witness is the
+    lexicographically smallest pair (u, v), u != v, attaining the diameter.
     """
     check_variant(g, variant)
     mat = all_pairs(g, cap)
-    n = g.n
-    ecc = [0] * n
-    witness = None
-    for u in range(n):
-        row = mat[u]
-        e = 0
-        for v in range(n):
-            if v == u:
-                continue
-            d = pair_distance(variant, row[v], mat[v][u])
-            if d > e:
-                e = d
-        ecc[u] = e
-    diameter = max(ecc) if ecc else 0
-    # Lexicographically smallest pair attaining the diameter.
-    for u in range(n):
-        if witness is not None:
-            break
-        row = mat[u]
-        for v in range(n):
-            if v == u:
-                continue
-            if pair_distance(variant, row[v], mat[v][u]) == diameter:
-                witness = (u, v)
-                break
-    return report_from_ecc(variant, ecc, witness)
+    op = PAIR_COMBINERS[variant]
+    if op is _forward:
+        ecc = [max(row) for row in mat]
+    else:
+        # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
+        ecc = [max(map(op, row, col)) for row, col in zip(mat, zip(*mat))]
+    report = report_from_ecc(variant, ecc)
+    if len(ecc) > 1:
+        # A pair attaining the diameter starts at a vertex whose eccentricity
+        # is the diameter, so the first such vertex holds the smallest pair.
+        diameter = report.diameter
+        u = ecc.index(diameter)
+        row = list(pair_row(variant, mat[u], [r[u] for r in mat]))
+        v = row.index(diameter)
+        if v == u:
+            v = row.index(diameter, u + 1)
+        report.witness = (u, v)
+    return report
 
 
 def exact_median(g, cap=DEFAULT_CAP):
@@ -158,15 +171,6 @@ def exact_median(g, cap=DEFAULT_CAP):
     Returns (vertex, total).  The total is INF when no vertex reaches all
     others; ties break toward the smallest vertex id.
     """
-    mat = all_pairs(g, cap)
-    best_v, best_sum = 0, INF
-    for u in range(g.n):
-        total = 0
-        for v in range(g.n):
-            if v != u:
-                total += mat[u][v]
-        if total < best_sum:
-            best_v, best_sum = u, total
-    if g.n == 1:
-        return 0, 0
-    return best_v, best_sum
+    sums = [sum(row) for row in all_pairs(g, cap)]
+    best = min(sums, default=INF)
+    return (sums.index(best) if sums else 0), best

@@ -29,7 +29,7 @@ from .oracle import (
     UNDIRECTED,
     check_variant,
     exact_eccentricities,
-    pair_distance,
+    pair_row,
 )
 from .rangemax import ThreeLayerInstance, three_layer_farthest
 
@@ -573,15 +573,7 @@ def _solve(g, bags, tree, variant):
 
     ecc = [0] * n
     for p in portals:
-        e = 0
-        frow, brow = fwd[p], bwd[p]
-        for v in range(n):
-            if v == p:
-                continue
-            d = pair_distance(variant, frow[v], brow[v])
-            if d > e:
-                e = d
-        ecc[p] = e
+        ecc[p] = max(pair_row(variant, fwd[p], bwd[p]))
     for i, v in enumerate(side_sorted):
         if v in pset:
             continue

@@ -6,6 +6,7 @@ import itertools
 import random
 
 from ecclab.graph import INF, Graph
+from ecclab.oracle import EccentricityReport
 
 
 def floyd_warshall(g):
@@ -55,6 +56,21 @@ def reference_eccentricities(g, variant):
                 e = max(e, variant_pair(variant, dist[u][v], dist[v][u]))
         ecc.append(e)
     return ecc
+
+
+def reference_report(g, variant):
+    """The full eccentricity report from the Floyd-Warshall matrix: ecc,
+    radius, diameter, center and the lexicographically smallest pair
+    (u, v), u != v, attaining the diameter."""
+    dist = floyd_warshall(g)
+    ecc = reference_eccentricities(g, variant)
+    radius, diameter = min(ecc), max(ecc)
+    witness = next(
+        ((u, v) for u in range(g.n) for v in range(g.n)
+         if u != v and variant_pair(variant, dist[u][v], dist[v][u]) == diameter),
+        None,
+    )
+    return EccentricityReport(variant, ecc, radius, diameter, ecc.index(radius), witness)
 
 
 def random_digraph(rng, n, m, max_weight=1):

@@ -66,6 +66,14 @@ def test_gen_partial_ktree_and_tw_verify(tmp_path, capsys):
     assert tw_out == exact_out
 
 
+def test_gen_dg(tmp_path, capsys):
+    prefix = str(tmp_path / "dg")
+    code, out, _ = run(["gen", "--kind", "dg", "--size", "4", "--output", prefix], capsys)
+    assert code == 0 and out.startswith("dg n=")
+    code, _, _ = run(["exact", "--input", prefix + ".graph", "--variant", "source"], capsys)
+    assert code == 0
+
+
 def test_exact_median_quantity(tmp_path, capsys):
     prefix = str(tmp_path / "m")
     run(["gen", "--kind", "median", "--na", "3", "--nb", "3", "--d", "3",
@@ -158,12 +166,18 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
     ({"g.graph": GOOD_GRAPH, "g.td": "s td 1 3 2\nb 1 0 1 -1\n"},
      ["tw", "--input", "g.graph", "--td", "g.td"]),
     ({"g.graph": "p 0 0 U 1\n"}, ["exact", "--input", "g.graph"]),
+    ({"g.graph": "p -1 0 U 1\n"}, ["exact", "--input", "g.graph"]),
+    ({}, ["gen", "--kind", "dg", "--size", "0", "--output", "x"]),
+    ({}, ["gen", "--kind", "partial-ktree", "--n", "0", "--output", "x"]),
+    ({}, ["gen", "--kind", "partial-ktree", "--n", "5", "--k", "-1", "--output", "x"]),
+    ({}, ["gen", "--kind", "radius-23", "--d", "-1", "--output", "x"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "td-vertex-high", "td-vertex-negative",
-        "graph-empty"])
-def test_malformed_input_is_usage_error(tmp_path, capsys, files, argv):
+        "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
+        "gen-negative-d"])
+def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
+    monkeypatch.chdir(tmp_path)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

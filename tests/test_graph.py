@@ -20,6 +20,7 @@ from ecclab.graph import (
     truncated_shortest_paths,
     write_graph,
 )
+from ecclab.treewidth import DecompositionError, read_td
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -114,3 +115,31 @@ def test_graph_round_trip(seed, n, m, w):
 def test_read_graph_rejects_garbage():
     with pytest.raises(GraphFormatError):
         read_graph("not a header\n")
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["p", "s", "td", "b", "c", "D", "U", "W", "1", "#", "x", "-", ""]),
+    st.text(max_size=4),
+)
+_LINES = st.one_of(
+    st.builds("p {} {} {} {}".format, st.integers(-3, 6), st.integers(-3, 6),
+              st.sampled_from("DU"), st.sampled_from("W1")),
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINES, max_size=8).map("\n".join)))
+def test_parsers_raise_only_format_errors(text):
+    try:
+        g = read_graph(text)
+    except GraphFormatError:
+        pass
+    else:
+        assert g.n >= 0
+    try:
+        read_td(text)
+    except DecompositionError:
+        pass

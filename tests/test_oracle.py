@@ -9,6 +9,7 @@ from conftest import (
     random_digraph,
     random_undirected,
     reference_eccentricities,
+    reference_report,
 )
 from ecclab.graph import INF, Graph
 from ecclab.oracle import (
@@ -28,6 +29,11 @@ def test_pair_distance_definitions():
     assert pair_distance("min", 3, 7) == 3
     assert pair_distance("roundtrip", 3, 7) == 10
     assert pair_distance("roundtrip", 3, INF) == INF
+
+
+def test_pair_distance_rejects_unknown_variant():
+    with pytest.raises(VariantError):
+        pair_distance("nope", 1, 2)
 
 
 def test_directed_path_all_variants():
@@ -121,3 +127,74 @@ def test_report_json_round_trip():
     rep = exact_eccentricities(g, "min")
     back = EccentricityReport.from_json(rep.to_json())
     assert back == rep
+
+
+def _variants(g):
+    return [v for v in VARIANTS if g.undirected or v != "undirected"]
+
+
+# Zero-weight arcs, n = 1 and n = 2, and pairs at distance INF.
+REPORT_CASES = [
+    Graph(1, []),
+    Graph(1, [], undirected=True),
+    Graph(2, []),
+    Graph(2, [], undirected=True),
+    Graph(2, [(0, 1, 0)]),
+    Graph(2, [(0, 1, 0), (1, 0, 0)]),
+    Graph(2, [(0, 1, 0)], undirected=True),
+    Graph(2, [(1, 0, 2)]),
+    Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)]),
+    Graph(3, [(0, 1, 0), (1, 2, 0)], undirected=True),
+    Graph(3, [(1, 0, 1), (2, 1, 0)]),
+    Graph(4, [(0, 1, 0), (2, 3, 1)], undirected=True),
+    Graph(4, [(1, 2, 2), (2, 1, 0), (3, 0, 1), (0, 3, 0)]),
+    Graph(5, [(0, 1, 1), (1, 2, 0), (2, 3, 3), (3, 4, 0), (4, 0, 2)]),
+]
+
+
+@pytest.mark.parametrize("g", REPORT_CASES)
+def test_report_matches_reference_report_cases(g):
+    for variant in _variants(g):
+        assert exact_eccentricities(g, variant).to_json() == reference_report(g, variant).to_json()
+
+
+def test_witness_edge_cases():
+    assert exact_eccentricities(Graph(1, []), "source").witness is None
+    # Diameter 0 from zero-weight arcs: the witness still skips v == u.
+    g = Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])
+    for variant in _variants(g):
+        rep = exact_eccentricities(g, variant)
+        assert rep.diameter == 0 and rep.witness == (0, 1)
+    # The diameter is first attained from u = 1, at v = 0 < u.
+    rep = exact_eccentricities(Graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]), "source")
+    assert rep.diameter == 2 and rep.witness == (1, 0)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)),
+        max_size=3 * n))
+    return Graph(n, edges, undirected=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_report_matches_reference_report(g):
+    for variant in _variants(g):
+        assert exact_eccentricities(g, variant).to_json() == reference_report(g, variant).to_json()
+    dist = floyd_warshall(g)
+    sums = [sum(row) for row in dist]
+    assert exact_median(g) == (sums.index(min(sums)), min(sums))
+
+
+def test_exact_median_ties_break_to_smallest_id():
+    # 0 and 1 are joined by a zero-weight edge, so both sum to 1.
+    assert exact_median(Graph(3, [(0, 1, 0), (1, 2, 1)], undirected=True)) == (0, 1)
+    # 1 and 2 tie at 1; vertex 0 sums to 2.
+    assert exact_median(Graph(3, [(1, 2, 0), (0, 1, 1)], undirected=True)) == (1, 1)
+    # Every vertex is at distance 0 from every other.
+    assert exact_median(Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])) == (0, 0)
+    # No vertex reaches all others.
+    assert exact_median(Graph(3, [(1, 2, 0)])) == (0, INF)
