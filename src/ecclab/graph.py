@@ -41,10 +41,10 @@ class Graph:
                 u, v, w = e
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                continue
             if not isinstance(w, int) or w < 0:
                 raise GraphFormatError(f"edge weight must be a nonnegative int, got {w!r}")
+            if u == v:
+                continue
             self.edges.append((u, v, w))
         self._adj_out = None
         self._adj_in = None

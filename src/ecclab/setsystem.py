@@ -91,7 +91,10 @@ def read_set_system(text):
             parts = stripped.split()
             if parts[0] != "s" or len(parts) != 5:
                 raise SetSystemFormatError(f"bad header: {raw!r}")
-            header = (int(parts[1]), int(parts[2]), int(parts[3]), parts[4].lower())
+            counts = _ints(parts[1:4], raw)
+            if min(counts) < 0:
+                raise SetSystemFormatError(f"negative header field: {raw!r}")
+            header = (*counts, parts[4].lower())
         else:
             if raw.strip().startswith("#"):
                 continue
@@ -107,8 +110,15 @@ def read_set_system(text):
         raise SetSystemFormatError(
             f"expected {na + nb} set lines, found {len(body)}"
         )
-    sets = [[int(x) for x in line.split()] for line in body]
+    sets = [_ints(line.split(), line) for line in body]
     return SetSystemInstance.from_sets(sets[:na], sets[na:], d, mode)
+
+
+def _ints(fields, raw):
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise SetSystemFormatError(f"non-integer field: {raw!r}") from exc
 
 
 def solve_set_system(inst):

@@ -144,6 +144,8 @@ def read_td(text):
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "b":
                 bags[int(parts[1]) - 1] = frozenset(int(x) for x in parts[2:])
+            elif len(parts) != 2:
+                raise DecompositionError(f"bad tree edge line: {raw!r}")
             else:
                 edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
         except (ValueError, IndexError) as exc:
@@ -554,7 +556,8 @@ def _solve(g, bags, tree, variant):
         return exact_eccentricities(g, variant, cap=None).ecc
 
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}
-    bwd = {p: shortest_paths(g, p, BACKWARD) for p in portals}
+    # On an undirected graph adj_in is adj_out, so d(v -> p) = d(p -> v).
+    bwd = fwd if g.undirected else {p: shortest_paths(g, p, BACKWARD) for p in portals}
 
     side_sorted = sorted(side)
     comp_sorted = sorted(split.complement | split.portals)

@@ -5,8 +5,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from ecclab.graph import INF, Graph
+from ecclab.graph import INF, Graph, shortest_paths
 from ecclab.oracle import EccentricityReport
+from ecclab.reduce23 import (
+    DIAMETER,
+    RADIUS,
+    ReductionResult,
+    closed_neighborhoods,
+    default_delta,
+    hashed_masks,
+)
+from ecclab.setsystem import OV, SetSystemInstance, solve_set_system
 
 
 def floyd_warshall(g):
@@ -127,3 +136,46 @@ def sampled_small_digraphs(max_n, per_n, rng):
         for bits in picks:
             edges = [arcs[i] for i in range(len(arcs)) if bits >> i & 1]
             yield Graph(n, edges, undirected=False)
+
+
+def reference_reduce23(g, target, rng, delta=None, rounds=20):
+    """The 2-vs-3 reduction built from full hashed masks: each diameter round
+    hands the low-degree masks to `solve_set_system`; each radius round keeps
+    the candidates, after dropping those at distance >= 3 from a high-degree
+    vertex, whose mask meets every low-degree mask."""
+    if delta is None:
+        delta = default_delta(g)
+    width = 10 * delta * delta
+    nbhd = closed_neighborhoods(g)
+    high = [v for v in range(g.n) if len(g.adj_out[v]) >= delta]
+    low = [v for v in range(g.n) if len(g.adj_out[v]) < delta]
+    far = set()
+    for v in high:
+        dist = shortest_paths(g, v)
+        far_v = [u for u in range(g.n) if dist[u] >= 3]
+        if target == DIAMETER and far_v:
+            return ReductionResult(3, DIAMETER, (v, far_v[0]), 0, delta, width, high,
+                                   notes="high-degree traversal")
+        if target == RADIUS and not far_v:
+            return ReductionResult(2, RADIUS, v, 0, delta, width, high,
+                                   notes="high-degree traversal")
+        far.update(far_v)
+    if target == DIAMETER:
+        for rnd in range(rounds):
+            masks = hashed_masks([nbhd[v] for v in low], width, rng)
+            found, wit = solve_set_system(SetSystemInstance(width, masks, masks, OV))
+            if found:
+                return ReductionResult(3, DIAMETER, (low[wit[0]], low[wit[1]]), rnd + 1,
+                                       delta, width, high, notes="hashed round")
+        return ReductionResult(2, DIAMETER, None, rounds, delta, width, high)
+    survivors = [c for c in low if c not in far]
+    rnd = 0
+    for rnd in range(rounds):
+        if not survivors:
+            break
+        masks = hashed_masks(nbhd, width, rng)
+        survivors = [c for c in survivors if all(masks[c] & masks[v] for v in low)]
+    if survivors:
+        return ReductionResult(2, RADIUS, survivors[0], rnd + 1, delta, width, high,
+                               notes="hashed rounds")
+    return ReductionResult(3, RADIUS, None, rounds, delta, width, high)

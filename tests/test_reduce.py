@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
-from ecclab.gadgets import gadget_undirected_diameter_23
-from ecclab.graph import Graph
+from conftest import reference_reduce23
+from ecclab.gadgets import gadget_radius_23, gadget_undirected_diameter_23
+from ecclab.graph import Graph, shortest_paths
 from ecclab.oracle import VariantError, exact_eccentricities
 from ecclab.reduce23 import (
     DIAMETER,
@@ -112,3 +114,56 @@ def test_result_bookkeeping():
     assert res.value in (2, 3)
     assert res.hash_width == 10 * res.delta * res.delta
     assert res.rounds_used <= 7
+
+
+def hub_graph(r, s):
+    """Centre c joined to x_0..x_{r-1}; y_j joined to x_{j mod r}; a hub H
+    joined to every y_j.  The radius is exactly 3: c is at distance 3 from H,
+    and every other vertex is at distance 3 from some x_i or y_j."""
+    c, hub = 0, r + s + 1
+    edges = [(c, 1 + i) for i in range(r)]
+    edges += [(1 + r + j, 1 + j % r) for j in range(s)]
+    edges += [(hub, 1 + r + j) for j in range(s)]
+    return Graph(r + s + 2, edges, undirected=True)
+
+
+def test_radius_three_on_hub_graph():
+    # The hub's neighborhood meets almost every hashed neighborhood, so a
+    # test against it would let the centre c survive every round.
+    g = hub_graph(60, 2000)
+    for seed in range(10):
+        res = reduce_decision23_to_set_system(g, RADIUS, substream(seed, "hub"))
+        assert res.value == 3
+        assert res.high_degree == [g.n - 1]
+
+
+def _far_drop_runs(g, delta):
+    """Some low-degree vertex is at distance >= 3 from a high-degree one."""
+    high = [v for v in range(g.n) if len(g.adj_out[v]) >= delta]
+    low = [v for v in range(g.n) if len(g.adj_out[v]) < delta]
+    return any(shortest_paths(g, v)[c] >= 3 for v in high for c in low)
+
+
+def test_column_rounds_match_full_mask_reference():
+    rng = substream(19, "columns")
+    graphs = [hub_graph(r, s) for r, s in ((3, 12), (5, 40), (8, 30))]
+    for _ in range(40):
+        inst = random_instance(rng.randint(1, 10), rng.randint(1, 10), rng.randint(1, 7), OV,
+                               rng, density=rng.choice([0.2, 0.5, 0.8]))
+        graphs.append(gadget_undirected_diameter_23(inst).graph)
+        graphs.append(gadget_radius_23(inst).graph)
+    seen = set()
+    for g in graphs:
+        for target in (DIAMETER, RADIUS):
+            for delta in (None, 2, 3):
+                if target == RADIUS and _far_drop_runs(g, delta or default_delta(g)):
+                    seen.add("far-drop")
+                for seed in range(3):
+                    got = reduce_decision23_to_set_system(g, target, substream(seed, "c"), delta)
+                    want = reference_reduce23(g, target, substream(seed, "c"), delta)
+                    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+                    seen.add((target, got.value, got.notes))
+    # Every exit of both targets was reached, and candidates were dropped.
+    assert seen >= {"far-drop", (DIAMETER, 2, ""), (DIAMETER, 3, "hashed round"),
+                    (DIAMETER, 3, "high-degree traversal"), (RADIUS, 2, "hashed rounds"),
+                    (RADIUS, 3, ""), (RADIUS, 2, "high-degree traversal")}

@@ -93,3 +93,38 @@ def test_read_handles_empty_sets_and_comments():
 def test_read_rejects_bad_header():
     with pytest.raises(SetSystemFormatError):
         read_set_system("s 1 1 OV\n0\n1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "s x 1 1 OV\n0\n0\n",
+    "s 1 1 1 OV\ny\n0\n",
+    "s 1 1 -2 OV\n\n\n",
+    "s -1 2 2 OV\n0\n",
+], ids=["header-non-integer", "element-non-integer", "negative-d", "negative-count"])
+def test_read_rejects_bad_fields(text):
+    with pytest.raises(SetSystemFormatError):
+        read_set_system(text)
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["s", "OV", "HSE", "ov", "xor", "#", "x", "-", ""]),
+    st.text(max_size=4),
+)
+_LINES = st.one_of(
+    st.builds("s {} {} {} {}".format, st.integers(-3, 4), st.integers(-3, 4),
+              st.integers(-3, 6), st.sampled_from(["OV", "HSE", "hse", "xor"])),
+    st.lists(_TOKENS, max_size=6).map(" ".join),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LINES, max_size=8).map("\n".join)))
+def test_reader_raises_only_format_errors(text):
+    try:
+        inst = read_set_system(text)
+    except SetSystemFormatError:
+        pass
+    else:
+        assert min(inst.d, inst.na, inst.nb) >= 0

@@ -106,6 +106,25 @@ def test_tw_matches_oracle_undirected_source(variant, monkeypatch):
         assert len(splits) >= 2
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_undirected_graph_runs_no_backward_portal_paths(variant, monkeypatch):
+    # On an undirected graph the backward distances are the forward ones.
+    directions = []
+    shortest_paths = treewidth.shortest_paths
+
+    def counted_paths(g, source, direction=treewidth.FORWARD):
+        directions.append(direction)
+        return shortest_paths(g, source, direction)
+
+    g, td = connected_ktree(0, "undirected")
+    monkeypatch.setattr(treewidth, "shortest_paths", counted_paths)
+    rep = tw_eccentricities(g, td, variant)
+    monkeypatch.undo()
+    assert rep.ecc == exact_eccentricities(g, variant).ecc
+    assert directions.count(treewidth.FORWARD) > 0
+    assert directions.count(treewidth.BACKWARD) == 0
+
+
 def test_tw_weighted_graph():
     rng = substream(7, "tww")
     g, td = generate_partial_ktree(40, 2, 0.8, rng, directed=True, max_weight=5)
