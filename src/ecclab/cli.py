@@ -1,10 +1,9 @@
 """Command-line front end: generation, exact/approximate solving, the
-treewidth solver, the 2-vs-3 reduction, sidecar verification, and a small
-benchmark harness.
+treewidth solver, the 2-vs-3 reduction and sidecar verification.
 
 Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error, 3 capacity
 cap exceeded.  All randomness flows from --seed through named substreams, so
-one seed reproduces a run byte for byte (bench wall-time columns excepted).
+one seed reproduces a run byte for byte.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .approx import (
     approx_min_diameter,
@@ -50,7 +48,6 @@ from .seeds import substream
 from .setsystem import HSE, OV, random_instance, write_set_system
 from .treewidth import (
     DecompositionError,
-    TreeDecomposition,
     generate_partial_ktree,
     min_degree_decomposition,
     read_td,
@@ -301,7 +298,7 @@ def _read_sidecar(path):
             promise = ("eq", sidecar["yes_value"])
         else:
             promise = ("ge", sidecar["no_bound"])
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise SystemExit2(f"malformed sidecar {path}: {type(exc).__name__} {exc}") from exc
     return quantity, variant, promise
 
@@ -324,66 +321,6 @@ def cmd_verify(args):
     ok = value == target if rel == "eq" else value >= target
     print(f"{'PASS' if ok else 'FAIL'} {quantity} {rel} {target}, computed {value}")
     return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _bench_rows(args):
-    rng = substream(args.seed, "bench")
-    sizes = args.sizes or [50, 100, 200]
-    rows = []
-    for n in sizes:
-        for k in args.ks or [3]:
-            g, td = generate_partial_ktree(n, k, 0.8, rng, directed=False)
-            affordable = args.cap is None or g.n <= args.cap
-            oracle = exact_eccentricities(g, "undirected", cap=None) if affordable else None
-            t0 = time.perf_counter()
-            approx = approx_source_radius(g, substream(args.seed, f"bench:approx:{n}:{k}"))
-            t_approx = time.perf_counter() - t0
-            ratio = ""
-            if oracle is not None and oracle.radius:
-                ratio = f"{approx.estimate / oracle.radius:.4f}"
-            rows.append(
-                (
-                    "approx_source_radius",
-                    n,
-                    g.m,
-                    k,
-                    f"{t_approx:.6f}",
-                    approx.estimate,
-                    oracle.radius if oracle else "",
-                    ratio,
-                )
-            )
-            t0 = time.perf_counter()
-            tw_report = tw_eccentricities(g, td, "undirected")
-            t_tw = time.perf_counter() - t0
-            ratio = ""
-            if oracle is not None:
-                ratio = "1.0000" if tw_report.ecc == oracle.ecc else "mismatch"
-            rows.append(
-                (
-                    "tw_eccentricities",
-                    n,
-                    g.m,
-                    k,
-                    f"{t_tw:.6f}",
-                    tw_report.radius,
-                    oracle.radius if oracle else "",
-                    ratio,
-                )
-            )
-    return rows
-
-
-def cmd_bench(args):
-    header = "algorithm\tn\tm\tk\twall_time\testimate\toracle\tratio"
-    rows = _bench_rows(args)
-    lines = [header] + ["\t".join(str(c) for c in row) for row in rows]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +384,6 @@ def build_parser():
     p.add_argument("--sidecar", help="sidecar JSON file")
     p.add_argument("--td", help="use this decomposition instead of the oracle")
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("bench", help="timing/ratio table over generated inputs")
-    _add_common(p)
-    p.add_argument("--sizes", type=int, nargs="*", default=None)
-    p.add_argument("--ks", type=int, nargs="*", default=None)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -177,13 +177,12 @@ def _reduce_radius(g, nbhd, high, low, width, rng, rounds, delta):
     # closed neighborhoods, so a seed's rounds do not depend on `high`.
     member = _membership(nbhd, low, g.n)
     full = (1 << len(low)) - 1
-    rnd = 0
-    for rnd in range(rounds):
-        if not survivors:
-            break
+    used = 0
+    while survivors and used < rounds:
         col = _columns(member, width, rng)
         survivors = [c for c in survivors if _hits(col, nbhd[c]) == full]
+        used += 1
     if survivors:
-        return ReductionResult(2, RADIUS, survivors[0], rnd + 1, delta, width, high,
+        return ReductionResult(2, RADIUS, survivors[0], used, delta, width, high,
                                notes="hashed rounds")
-    return ReductionResult(3, RADIUS, None, rounds, delta, width, high)
+    return ReductionResult(3, RADIUS, None, used, delta, width, high)

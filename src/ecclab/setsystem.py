@@ -27,9 +27,8 @@ class SetSystemInstance:
     def __post_init__(self):
         if self.mode not in (OV, HSE):
             raise SetSystemFormatError(f"unknown mode {self.mode!r}")
-        limit = 1 << self.d
         for s in list(self.list_a) + list(self.list_b):
-            if not 0 <= s < limit:
+            if not (s >= 0 and s.bit_length() <= self.d):
                 raise SetSystemFormatError("set exceeds universe size")
 
     @property

@@ -6,6 +6,11 @@ compute portal distances, recurse on both sides augmented with portal-to-
 portal shortcut edges, and resolve the cross-side farthest vertices through
 the portals with rangemax.three_layer_farthest, a min-plus loop over the
 distinct shapes of the portal distance vectors.
+
+The decomposition is validated once and normalised in one pass (no tree
+edge joins nested bags).  Each side recurses on the decomposition restricted
+to its own vertices, renumbered and normalised again, so a recursion node
+holds at most as many bags as vertices.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .oracle import (
     check_variant,
     exact_eccentricities,
     pair_row,
+    report_from_ecc,
 )
 from .rangemax import ThreeLayerInstance, three_layer_farthest
 
@@ -165,46 +171,42 @@ class PortalSplit:
 
 
 def _normalize(td):
-    """Merge adjacent bags with containment so tree-edge separators are
-    strictly smaller than the larger bag."""
-    bags = [set(b) for b in td.bags]
-    adj = {i: set() for i in range(len(bags))}
+    """Contract every tree edge whose bags are nested, keeping the larger bag,
+    and renumber.  Empty bags are nested in any neighbour, so they go too.
+
+    One pass over the edges suffices on a valid decomposition: contracting
+    a nested edge grows a bag, but by the running-intersection property a
+    kept edge's bags can never become nested later."""
+    bags = td.bags
+    root = list(range(len(bags)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    kept = []
     for i, j in td.tree:
-        adj[i].add(j)
-        adj[j].add(i)
-    alive = set(range(len(bags)))
-    changed = True
-    while changed:
-        changed = False
-        for i in list(alive):
-            if i not in alive:
-                continue
-            for j in list(adj[i]):
-                if bags[i] <= bags[j] or bags[j] <= bags[i]:
-                    # Merge i into j.
-                    keep, drop = (j, i) if len(bags[j]) >= len(bags[i]) else (i, j)
-                    bags[keep] |= bags[drop]
-                    for x in adj[drop]:
-                        if x != keep:
-                            adj[x].discard(drop)
-                            adj[x].add(keep)
-                            adj[keep].add(x)
-                    adj[keep].discard(drop)
-                    alive.discard(drop)
-                    adj[drop] = set()
-                    changed = True
-                    break
-    order = sorted(alive)
+        i, j = find(i), find(j)
+        if bags[i] <= bags[j]:
+            root[i] = j
+        elif bags[j] <= bags[i]:
+            root[j] = i
+        else:
+            kept.append((i, j))
+    order = [i for i in range(len(bags)) if root[i] == i]
     remap = {old: new for new, old in enumerate(order)}
-    new_bags = [frozenset(bags[i]) for i in order]
-    new_edges = set()
-    for i in order:
-        for j in adj[i]:
-            a, b = remap[i], remap[j]
-            if a > b:
-                a, b = b, a
-            new_edges.add((a, b))
-    return TreeDecomposition(new_bags, sorted(new_edges))
+    return TreeDecomposition(
+        [bags[i] for i in order], [(remap[find(i)], remap[find(j)]) for i, j in kept]
+    )
+
+
+def _restricted(td, pos):
+    """td restricted to the vertices of pos, renumbered by pos and normalised,
+    so it has at most len(pos) bags."""
+    bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
+    return _normalize(TreeDecomposition(bags, td.tree))
 
 
 def _boundary(g, side):
@@ -242,15 +244,15 @@ def _undirected_components(g, removed):
     return comps
 
 
-def find_portal_split(g, td, validate=True):
+def find_portal_split(g, td):
     """A balanced side of the graph whose boundary is at most width portals.
 
-    The returned split satisfies: portals is a subset of side, every edge
-    leaving side is incident to a portal, |portals| <= width, and the side
-    holds between n/(width+1) and n*width/(width+1) vertices.
+    td must be a valid decomposition of g (see TreeDecomposition.validate);
+    the solver passes a normalised one.  The returned split satisfies:
+    portals is a subset of side, every edge leaving side is incident to a
+    portal, |portals| <= width, and the side holds between n/(width+1) and
+    n*width/(width+1) vertices.
     """
-    if validate:
-        td.validate(g)
     n = g.n
     k = max(1, td.width)
     if n <= k + 1:
@@ -261,10 +263,9 @@ def find_portal_split(g, td, validate=True):
         lo = math.floor(lo)
         hi = math.ceil(hi)
 
-    nd = _normalize(td)
-    bags = nd.bags
+    bags = td.bags
     nb = len(bags)
-    adj = nd.neighbors()
+    adj = td.neighbors()
 
     # Root the bag tree, find each vertex's topmost bag, count per subtree.
     parent = [-1] * nb
@@ -463,9 +464,9 @@ def generate_partial_ktree(n, k, edge_keep_prob, rng, directed=False, max_weight
     return g, TreeDecomposition(bags, tree)
 
 
-def _augmented_side(g, side_sorted, portals, fwd):
-    """Induced subgraph on side_sorted plus portal-to-portal shortcut edges."""
-    pos = {v: i for i, v in enumerate(side_sorted)}
+def _augmented_side(g, pos, portals, fwd):
+    """Induced subgraph on the vertices of pos, renumbered by pos, plus
+    portal-to-portal shortcut edges."""
     edges = [
         (pos[u], pos[v], w)
         for u, v, w in g.edges
@@ -480,12 +481,7 @@ def _augmented_side(g, side_sorted, portals, fwd):
             if g.undirected and p > q:
                 continue
             edges.append((pos[p], pos[q], int(row[q])))
-    return Graph(len(side_sorted), edges, undirected=g.undirected)
-
-
-def _restrict_bags(bags, side_sorted):
-    pos = {v: i for i, v in enumerate(side_sorted)}
-    return [frozenset(pos[v] for v in b if v in pos) for b in bags]
+    return Graph(len(pos), edges, undirected=g.undirected)
 
 
 def _cross_values(variant, avs, plist, cvs, fwd, bwd):
@@ -539,15 +535,13 @@ def _cross_values(variant, avs, plist, cvs, fwd, bwd):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _solve(g, bags, tree, variant):
+def _solve(g, td, variant):
+    """Eccentricities of g; td is a normalised decomposition of g."""
     n = g.n
-    width = max((len(b) for b in bags), default=1) - 1
-    base = max(width ** 3, 16)
-    if n <= base:
+    if n <= max(td.width ** 3, 16):
         return exact_eccentricities(g, variant, cap=None).ecc
-    td = TreeDecomposition(bags, tree)
     try:
-        split = find_portal_split(g, td, validate=False)
+        split = find_portal_split(g, td)
     except PortalSplitError:
         return exact_eccentricities(g, variant, cap=None).ecc
     side = split.side
@@ -559,12 +553,14 @@ def _solve(g, bags, tree, variant):
     # On an undirected graph adj_in is adj_out, so d(v -> p) = d(p -> v).
     bwd = fwd if g.undirected else {p: shortest_paths(g, p, BACKWARD) for p in portals}
 
+    def recurse(vertices):
+        pos = {v: i for i, v in enumerate(vertices)}
+        return _solve(_augmented_side(g, pos, portals, fwd), _restricted(td, pos), variant)
+
     side_sorted = sorted(side)
     comp_sorted = sorted(split.complement | split.portals)
-    sub_s = _augmented_side(g, side_sorted, portals, fwd)
-    sub_c = _augmented_side(g, comp_sorted, portals, fwd)
-    ecc_s = _solve(sub_s, _restrict_bags(bags, side_sorted), tree, variant)
-    ecc_c = _solve(sub_c, _restrict_bags(bags, comp_sorted), tree, variant)
+    ecc_s = recurse(side_sorted)
+    ecc_c = recurse(comp_sorted)
 
     pset = set(portals)
     a_side = [v for v in side_sorted if v not in pset]
@@ -590,16 +586,12 @@ def _solve(g, bags, tree, variant):
     return ecc
 
 
-def tw_eccentricities(g, td, variant, validate=True):
+def tw_eccentricities(g, td, variant):
     """Exact eccentricities using the tree decomposition.
 
     Matches the brute-force oracle on every input; the decomposition only
-    affects the running time.
+    affects the running time.  It is validated once, then normalised.
     """
     check_variant(g, variant)
-    if validate:
-        td.validate(g)
-    from .oracle import report_from_ecc
-
-    ecc = _solve(g, list(td.bags), list(td.tree), variant)
-    return report_from_ecc(variant, ecc)
+    td.validate(g)
+    return report_from_ecc(variant, _solve(g, _normalize(td), variant))

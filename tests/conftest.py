@@ -169,13 +169,12 @@ def reference_reduce23(g, target, rng, delta=None, rounds=20):
                                        delta, width, high, notes="hashed round")
         return ReductionResult(2, DIAMETER, None, rounds, delta, width, high)
     survivors = [c for c in low if c not in far]
-    rnd = 0
-    for rnd in range(rounds):
-        if not survivors:
-            break
+    used = 0
+    while survivors and used < rounds:
         masks = hashed_masks(nbhd, width, rng)
         survivors = [c for c in survivors if all(masks[c] & masks[v] for v in low)]
+        used += 1
     if survivors:
-        return ReductionResult(2, RADIUS, survivors[0], rnd + 1, delta, width, high,
+        return ReductionResult(2, RADIUS, survivors[0], used, delta, width, high,
                                notes="hashed rounds")
-    return ReductionResult(3, RADIUS, None, rounds, delta, width, high)
+    return ReductionResult(3, RADIUS, None, used, delta, width, high)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import reference_reduce23
+from ecclab import reduce23
 from ecclab.gadgets import gadget_radius_23, gadget_undirected_diameter_23
 from ecclab.graph import Graph, shortest_paths
 from ecclab.oracle import VariantError, exact_eccentricities
@@ -135,6 +136,26 @@ def test_radius_three_on_hub_graph():
         res = reduce_decision23_to_set_system(g, RADIUS, substream(seed, "hub"))
         assert res.value == 3
         assert res.high_degree == [g.n - 1]
+
+
+def test_rounds_used_counts_drawn_rounds(monkeypatch):
+    drawn = []
+    columns = reduce23._columns
+
+    def counted_columns(*args):
+        drawn.append(1)
+        return columns(*args)
+
+    monkeypatch.setattr(reduce23, "_columns", counted_columns)
+    # The candidates run out after a round or a few, well before the limit.
+    res = reduce_decision23_to_set_system(hub_graph(60, 2000), RADIUS, random.Random(1))
+    assert res.value == 3
+    assert res.rounds_used == len(drawn) < reduce23.DEFAULT_ROUNDS
+    # With delta 3, c and every x_i are high-degree, and every y_j is at
+    # distance 3 from some x_i: the far-candidate drop leaves no candidate.
+    drawn.clear()
+    res = reduce_decision23_to_set_system(hub_graph(3, 12), RADIUS, random.Random(1), delta=3)
+    assert (res.value, res.rounds_used, drawn) == (3, 0, [])
 
 
 def _far_drop_runs(g, delta):

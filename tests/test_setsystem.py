@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,21 @@ def test_round_trip(seed, na, nb, d):
     back = read_set_system(write_set_system(inst))
     assert back == inst
     assert write_set_system(back) == write_set_system(inst)
+
+
+def test_universe_bound_builds_no_universe_sized_int():
+    tracemalloc.start()
+    try:
+        inst = read_set_system("s 0 0 100000000 OV\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.d == 100000000
+    assert peak < 1_000_000
+    SetSystemInstance(3, [0b111], [0], OV)
+    for sets in ([0b1000], [-1]):
+        with pytest.raises(SetSystemFormatError):
+            SetSystemInstance(3, sets, [], OV)
 
 
 def test_read_handles_empty_sets_and_comments():

@@ -10,6 +10,8 @@ from ecclab.seeds import substream
 from ecclab.treewidth import (
     DecompositionError,
     TreeDecomposition,
+    _normalize,
+    _restricted,
     find_portal_split,
     generate_partial_ktree,
     min_degree_decomposition,
@@ -58,6 +60,32 @@ def test_td_round_trip():
     assert write_td(back, g.n) == write_td(td, g.n)
 
 
+def _check_normalized(td, nd):
+    """nd is td normalised: no nested tree edge, a tree, the same vertices."""
+    bags = nd.bags
+    assert not [(i, j) for i, j in nd.tree if bags[i] <= bags[j] or bags[j] <= bags[i]]
+    assert len(nd.tree) == len(bags) - 1
+    assert set().union(*bags) == set().union(*td.bags)
+
+
+def test_normalize_and_restrict_leave_no_nested_edge():
+    rng = substream(3, "normalize")
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        g, gen_td = generate_partial_ktree(rng.randint(k + 1, 60), k, rng.random(), rng)
+        for td in (gen_td, min_degree_decomposition(g)):
+            nd = _normalize(td)
+            _check_normalized(td, nd)
+            nd.validate(g)
+            side = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            pos = {v: i for i, v in enumerate(side)}
+            sub = _restricted(nd, pos)
+            _check_normalized(TreeDecomposition([set(range(len(side)))], []), sub)
+            assert len(sub.bags) <= len(side)
+            induced = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
+            sub.validate(Graph(len(side), induced, undirected=True))
+
+
 def test_portal_split_separates():
     rng = substream(2, "split")
     g, td = generate_partial_ktree(60, 3, 0.8, rng)
@@ -97,8 +125,9 @@ def test_tw_matches_oracle_undirected_source(variant, monkeypatch):
         return find_portal_split(*args, **kwargs)
 
     monkeypatch.setattr(treewidth, "find_portal_split", counted_split)
-    for seed in range(2):
-        g, td = connected_ktree(seed, variant)
+    g0, td0 = connected_ktree(0, variant)
+    # The last input is the `ecclab tw` path without --td.
+    for g, td in (g0, td0), connected_ktree(1, variant), (g0, min_degree_decomposition(g0)):
         splits.clear()
         rep = tw_eccentricities(g, td, variant)
         assert rep.ecc == exact_eccentricities(g, variant).ecc
