@@ -28,6 +28,8 @@ from .oracle import (
     VariantError,
     exact_eccentricities,
     exact_median,
+    sweep_eccentricities,
+    sweep_median,
 )
 from .approx import (
     ApproxResult,

@@ -9,6 +9,7 @@ one seed reproduces a run byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -42,6 +43,8 @@ from .oracle import (
     VariantError,
     exact_eccentricities,
     exact_median,
+    sweep_eccentricities,
+    sweep_median,
 )
 from .reduce23 import DIAMETER, RADIUS, reduce_decision23_to_set_system
 from .seeds import substream
@@ -172,14 +175,16 @@ def cmd_gen(args):
 def cmd_exact(args):
     g = _load_graph(args)
     if args.quantity == "median":
-        vertex, total = exact_median(g, cap=args.cap)
+        vertex, total = sweep_median(g, args.cap) or exact_median(g, cap=args.cap)
         enc = "inf" if total == INF else total
         if args.format == "json":
             _emit(args, json.dumps({"median": vertex, "sum": enc}, sort_keys=True) + "\n")
         else:
             _emit(args, f"median\tsum\n{vertex}\t{enc}\n")
         return 0
-    report = exact_eccentricities(g, args.variant, cap=args.cap)
+    report = sweep_eccentricities(g, args.variant, args.cap) or exact_eccentricities(
+        g, args.variant, cap=args.cap
+    )
     _emit(args, report.to_json() if args.format == "json" else report.to_tsv())
     return 0
 
@@ -267,13 +272,15 @@ def cmd_reduce(args):
 
 def _verified_value(g, quantity, variant, args):
     if quantity == "median":
-        _, total = exact_median(g, cap=args.cap)
+        _, total = sweep_median(g, args.cap) or exact_median(g, cap=args.cap)
         return total
     if args.td:
         td = read_td(_read_text(args.td))
         report = tw_eccentricities(g, td, variant)
     else:
-        report = exact_eccentricities(g, variant, cap=args.cap)
+        report = sweep_eccentricities(g, variant, args.cap) or exact_eccentricities(
+            g, variant, cap=args.cap
+        )
     if quantity == "radius":
         return report.radius
     if quantity == "diameter":
@@ -336,6 +343,7 @@ def _add_common(p):
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle capacity cap")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="ecclab")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,7 +364,7 @@ def build_parser():
     p.add_argument("--directed", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("exact", help="exact eccentricities or median by brute force")
+    p = sub.add_parser("exact", help="exact eccentricities or median")
     _add_common(p)
     p.add_argument("--quantity", choices=("eccentricities", "median"), default="eccentricities")
     p.set_defaults(func=cmd_exact)

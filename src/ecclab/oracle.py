@@ -1,21 +1,45 @@
-"""Exact brute-force computations: all-pairs distances, eccentricities under
-all five distance semantics, and the median.
+"""Exact computations: all-pairs distances, eccentricities under all five
+distance semantics, and the median.
 
-Everything here is the trusted reference the rest of the package is tested
+Two exact paths compute them.
+
+The matrix path is the trusted reference the rest of the package is tested
 against, so it stays simple: n single-source runs give the distance matrix,
 then each vertex's eccentricity is one reduction of its row (source,
 undirected) or of its row paired with its column (max, min, roundtrip)
 under the variant's pair combiner, done by the builtins ``max``, ``map`` and
 ``sum`` with no Python-level loop per pair.
+
+The level sweep (``sweep_eccentricities``, ``sweep_median``) is the fast
+path.  It grows, one distance level at a time, the bitmask of the vertices
+within distance t of every vertex, at once for all vertices and in O(m)
+ORs of n-bit ints per level, as in the bit-parallel BFS of Akiba, Iwata and
+Yoshida (SIGMOD 2013).  It holds the last W + 1 levels, where W is the
+largest arc weight: (W + 1) n^2 / 8 bytes, twice that for max and min.  It
+returns None, for the caller to fall back to the matrix path, on
+``roundtrip`` (not a threshold of the two one-way masks) and when W exceeds
+``SWEEP_MAX_WEIGHT``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import and_, or_
 
-from .graph import FORWARD, INF, Graph, shortest_paths
+from .graph import (
+    BACKWARD,
+    FORWARD,
+    INF,
+    Graph,
+    condense_scc,
+    shortest_paths,
+    topological_order,
+)
 
 UNDIRECTED = "undirected"
 SOURCE = "source"
@@ -26,6 +50,11 @@ ROUNDTRIP = "roundtrip"
 VARIANTS = (UNDIRECTED, SOURCE, MAX, MIN, ROUNDTRIP)
 
 DEFAULT_CAP = 5000
+
+# Largest arc weight the level sweep takes.  Its memory grows as W + 1 levels
+# of n^2 bits and its level count as W times the unweighted diameter; above
+# this the matrix path is the cheaper one.
+SWEEP_MAX_WEIGHT = 16
 
 
 class CapacityError(RuntimeError):
@@ -172,5 +201,160 @@ def exact_median(g, cap=DEFAULT_CAP):
     others; ties break toward the smallest vertex id.
     """
     sums = [sum(row) for row in all_pairs(g, cap)]
+    best = min(sums, default=INF)
+    return (sums.index(best) if sums else 0), best
+
+
+def _check_sweep_cap(g, cap):
+    if cap is not None and g.n > cap:
+        raise CapacityError(f"sweep capacity cap {cap} exceeded (n={g.n})")
+
+
+def _zero_groups(n, adj):
+    """The closure of a level over the zero-weight arcs of adj, as steps
+    (members, successors) in the order they run: one per strongly connected
+    component of the zero arcs that has a zero arc leaving it or more than
+    one member, sinks first.  successors holds one member of each component
+    a zero arc leads to."""
+    zero = [(u, x, 0) for u in range(n) for x, w in adj[u] if w == 0]
+    if not zero:
+        return []
+    comp, dag = condense_scc(Graph(n, zero))
+    members = [[] for _ in range(dag.n)]
+    for v, c in enumerate(comp):
+        members[c].append(v)
+    steps = []
+    for c in reversed(topological_order(dag)):
+        succ = [members[d][0] for d, _ in dag.adj_out[c]]
+        if succ or len(members[c]) > 1:
+            steps.append((members[c], succ))
+    return steps
+
+
+def _levels(n, adj, weight):
+    """Yield (F_t, settled) for t = 0, 1, 2, ...
+
+    F_t[u] is the bitmask of the v with d(u -> v) <= t along the arcs of adj
+    (bit v set), and F_t[u] = F_{t-1}[u] | OR over arcs (u -> x, w) of
+    F_{t-w}[x], closed over the zero-weight arcs.  settled is true once
+    ``weight`` levels in a row brought no change: a level reads only the
+    last ``weight`` ones, so no later level changes either, and every later
+    item is the same.  Stopping at the first unchanged level would be wrong
+    when an arc of weight w > 1 has yet to bring in F_{t-w}.
+    """
+    full = (1 << n) - 1
+    # Arc (u -> x, w > 0) reads entry x of F_{t-w}, which sits at
+    # (w - 1) n + x in the last `weight` levels laid end to end.
+    reads = [[(w - 1) * n + x for x, w in adj[u] if w] for u in range(n)]
+    zero = _zero_groups(n, adj)
+
+    def close(level):
+        get = level.__getitem__
+        for members, succ in zero:
+            acc = reduce(or_, map(get, succ), reduce(or_, map(get, members)))
+            for v in members:
+                level[v] = acc
+        return level
+
+    level = close([1 << u for u in range(n)])
+    past = deque([level] + [[0] * n] * (weight - 1), maxlen=weight)
+    still = 0
+    while True:
+        yield level, still >= weight
+        if still >= weight:
+            continue
+        get = list(chain.from_iterable(past)).__getitem__
+        new = close([
+            mask if mask == full else reduce(or_, map(get, r), mask)
+            for r, mask in zip(reads, level)
+        ])
+        still = still + 1 if new == level else 0
+        past.appendleft(new)
+        level = new
+
+
+def _sweep_weight(g):
+    """W for the sweep, or None when it is above SWEEP_MAX_WEIGHT."""
+    weight = max(1, g.max_weight)
+    return weight if weight <= SWEEP_MAX_WEIGHT else None
+
+
+def sweep_eccentricities(g, variant, cap=DEFAULT_CAP):
+    """The report of ``exact_eccentricities``, witness included, from the
+    level sweep; None for ``roundtrip`` or when the largest weight exceeds
+    SWEEP_MAX_WEIGHT.
+
+    ecc(u) is the first t at which u's mask is full: F_t[u] for source and
+    undirected, F_t[u] & B_t[u] for max and F_t[u] | B_t[u] for min, where
+    B_t[u], the v with d(v -> u) <= t, is the same sweep over the reversed
+    arcs run in lockstep.  A mask that never fills gives INF.  The witness
+    comes from one shortest-path run each way from the first vertex whose
+    eccentricity is the diameter.
+    """
+    check_variant(g, variant)
+    _check_sweep_cap(g, cap)
+    weight = _sweep_weight(g)
+    if variant == ROUNDTRIP or weight is None:
+        return None
+    n = g.n
+    full = (1 << n) - 1
+    levels = _levels(n, g.adj_out, weight)
+    # On an undirected graph B = F, and max and min are the forward masks.
+    two_way = variant in (MAX, MIN) and not g.undirected
+    if two_way:
+        join = and_ if variant == MAX else or_
+        levels = (
+            (list(map(join, f, b)), f_settled and b_settled)
+            for (f, f_settled), (b, b_settled) in zip(levels, _levels(n, g.adj_in, weight))
+        )
+    ecc = [INF] * n
+    pending = range(n)
+    for t, (masks, settled) in enumerate(levels):
+        left = []
+        for u in pending:
+            if masks[u] == full:
+                ecc[u] = t
+            else:
+                left.append(u)
+        pending = left
+        if not pending or settled:
+            break
+    report = report_from_ecc(variant, ecc)
+    if n > 1:
+        diameter = report.diameter
+        u = ecc.index(diameter)
+        out_row = shortest_paths(g, u, FORWARD)
+        in_row = shortest_paths(g, u, BACKWARD) if two_way else out_row
+        row = list(pair_row(variant, out_row, in_row))
+        v = row.index(diameter)
+        if v == u:
+            v = row.index(diameter, u + 1)
+        report.witness = (u, v)
+    return report
+
+
+def sweep_median(g, cap=DEFAULT_CAP):
+    """``exact_median`` from the level sweep; None when the largest weight
+    exceeds SWEEP_MAX_WEIGHT.
+
+    The distance sum of u is the total over levels t of the vertices not yet
+    within distance t, n - popcount(F_t[u]), and INF if F_t[u] never fills.
+    """
+    _check_sweep_cap(g, cap)
+    weight = _sweep_weight(g)
+    if weight is None:
+        return None
+    n = g.n
+    full = (1 << n) - 1
+    sums = [0] * n
+    pending = range(n)
+    for masks, settled in _levels(n, g.adj_out, weight):
+        pending = [u for u in pending if masks[u] != full]
+        for u in pending:
+            sums[u] += n - masks[u].bit_count()
+        if not pending or settled:
+            break
+    for u in pending:
+        sums[u] = INF
     best = min(sums, default=INF)
     return (sums.index(best) if sums else 0), best

@@ -15,6 +15,7 @@ holds at most as many bags as vertices.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .oracle import (
     exact_eccentricities,
     pair_row,
     report_from_ecc,
+    sweep_eccentricities,
 )
 from .rangemax import ThreeLayerInstance, three_layer_farthest
 
@@ -376,22 +378,28 @@ def min_degree_decomposition(g):
     for u, v, _ in g.edges:
         nbr[u].add(v)
         nbr[v].add(u)
-    alive = set(range(n))
+    # A lazy-deletion heap of (degree, vertex): an entry is live while its
+    # vertex is alive and still has that degree, so the smallest live entry
+    # is the vertex of least degree, ties to the smallest id.
+    heap = [(len(nbr[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    alive = [True] * n
     bag_of = {}
     bags = []
     order = []
-    while alive:
-        v = min(alive, key=lambda x: (len(nbr[x]), x))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if not alive[v] or deg != len(nbr[v]):
+            continue
         bag = frozenset({v} | nbr[v])
         bag_of[v] = len(bags)
         bags.append(bag)
         order.append(v)
         for a in nbr[v]:
             nbr[a].discard(v)
-            nbr[a] |= nbr[v] - {a, v}
-        for a in nbr[v]:
-            nbr[a].discard(v)
-        alive.remove(v)
+            nbr[a] |= nbr[v] - {a}
+            heapq.heappush(heap, (len(nbr[a]), a))
+        alive[v] = False
         nbr[v] = set()
     pos = {v: i for i, v in enumerate(order)}
     # Each bag hangs off the bag of its earliest-later-eliminated member;
@@ -535,19 +543,24 @@ def _cross_values(variant, avs, plist, cvs, fwd, bwd):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _base_case(g, variant):
+    report = sweep_eccentricities(g, variant, None) or exact_eccentricities(g, variant, cap=None)
+    return report.ecc
+
+
 def _solve(g, td, variant):
     """Eccentricities of g; td is a normalised decomposition of g."""
     n = g.n
     if n <= max(td.width ** 3, 16):
-        return exact_eccentricities(g, variant, cap=None).ecc
+        return _base_case(g, variant)
     try:
         split = find_portal_split(g, td)
     except PortalSplitError:
-        return exact_eccentricities(g, variant, cap=None).ecc
+        return _base_case(g, variant)
     side = split.side
     portals = sorted(split.portals)
     if len(side) <= len(portals) or len(side) >= n:
-        return exact_eccentricities(g, variant, cap=None).ecc
+        return _base_case(g, variant)
 
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}
     # On an undirected graph adj_in is adj_out, so d(v -> p) = d(p -> v).

@@ -13,6 +13,7 @@ from conftest import (
 )
 from ecclab.graph import INF, Graph
 from ecclab.oracle import (
+    SWEEP_MAX_WEIGHT,
     VARIANTS,
     CapacityError,
     EccentricityReport,
@@ -20,6 +21,8 @@ from ecclab.oracle import (
     exact_eccentricities,
     exact_median,
     pair_distance,
+    sweep_eccentricities,
+    sweep_median,
 )
 
 
@@ -198,3 +201,102 @@ def test_exact_median_ties_break_to_smallest_id():
     assert exact_median(Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)])) == (0, 0)
     # No vertex reaches all others.
     assert exact_median(Graph(3, [(1, 2, 0)])) == (0, INF)
+
+
+# -- the level sweep ---------------------------------------------------------
+
+
+def _median_reference(g):
+    sums = [sum(row) for row in floyd_warshall(g)]
+    return sums.index(min(sums)), min(sums)
+
+
+@st.composite
+def zero_heavy_graphs(draw):
+    """Graphs on 1..8 vertices with weights 0..3, about half of them 0."""
+    n = draw(st.integers(1, 8))
+    weight = st.one_of(st.just(0), st.integers(0, 3))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=3 * n))
+    return Graph(n, edges, undirected=draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_graphs())
+def test_sweep_matches_reference_report(g):
+    for variant in _variants(g):
+        if variant == "roundtrip":
+            continue
+        rep = sweep_eccentricities(g, variant, None)
+        assert rep.to_json() == reference_report(g, variant).to_json()
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_graphs())
+def test_sweep_median_matches_reference(g):
+    assert sweep_median(g, None) == _median_reference(g)
+
+
+# A zero-weight cycle 0 -> 1 -> 2 -> 0 with a tail and a zero-weight chain
+# 0 -> 1 -> 2 -> 3; vertices that never fill their mask; and a path whose
+# distances skip levels: 0 -1- 1 -5- 2 -5- 3 is unchanged from level 1 to
+# level 5, so a sweep that stopped at the first unchanged level would call
+# every eccentricity but 1's INF.
+SWEEP_CASES = [
+    Graph(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 2)]),
+    Graph(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 2)], undirected=True),
+    Graph(4, [(2, 3, 0), (1, 2, 0), (0, 1, 0), (3, 0, 1)]),
+    Graph(5, [(0, 1, 1)], undirected=True),
+    Graph(5, [(0, 1, 0), (2, 3, 0), (3, 2, 1)]),
+    Graph(4, [(0, 1, 1), (1, 2, 5), (2, 3, 5)], undirected=True),
+    Graph(4, [(0, 1, 1), (1, 0, 1), (1, 2, 5), (2, 3, 5), (3, 2, 2)]),
+]
+
+
+@pytest.mark.parametrize("g", SWEEP_CASES)
+def test_sweep_fixed_cases(g):
+    for variant in _variants(g):
+        if variant != "roundtrip":
+            assert sweep_eccentricities(g, variant).to_json() == \
+                reference_report(g, variant).to_json()
+    assert sweep_median(g) == _median_reference(g)
+
+
+def test_sweep_fixed_values():
+    cycle = SWEEP_CASES[0]
+    assert sweep_eccentricities(cycle, "source").ecc == [2, 2, 2, INF]
+    assert sweep_eccentricities(cycle, "min").ecc == [2, 2, 2, 2]
+    assert sweep_median(cycle) == (0, 2)
+    chain = SWEEP_CASES[2]
+    assert sweep_eccentricities(chain, "source").ecc == [0, 1, 1, 1]
+    assert sweep_median(chain) == (0, 0)
+    isolated = SWEEP_CASES[3]
+    assert sweep_eccentricities(isolated, "undirected").ecc == [INF] * 5
+    assert sweep_median(isolated) == (0, INF)
+    path = SWEEP_CASES[5]
+    assert sweep_eccentricities(path, "undirected").ecc == [11, 10, 6, 11]
+    assert sweep_eccentricities(path, "undirected").witness == (0, 3)
+    assert sweep_median(path) == (1, 16)
+
+
+def test_sweep_falls_back_on_roundtrip_and_heavy_weights():
+    g = Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
+    assert sweep_eccentricities(g, "roundtrip") is None
+    assert sweep_eccentricities(g, "source") is not None
+    at_limit = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT), (1, 0, 1)])
+    assert sweep_eccentricities(at_limit, "max").ecc == [SWEEP_MAX_WEIGHT] * 2
+    assert sweep_median(at_limit) == (1, 1)
+    heavy = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT + 1), (1, 0, 1)])
+    for variant in ("source", "max", "min", "roundtrip"):
+        assert sweep_eccentricities(heavy, variant) is None
+    assert sweep_median(heavy) is None
+
+
+def test_sweep_capacity_and_variant_checks():
+    g = Graph(10, [], undirected=True)
+    with pytest.raises(CapacityError):
+        sweep_eccentricities(g, "undirected", cap=5)
+    with pytest.raises(CapacityError):
+        sweep_median(g, cap=5)
+    with pytest.raises(VariantError):
+        sweep_eccentricities(Graph(2, [(0, 1)]), "undirected")

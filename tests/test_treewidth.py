@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import reference_eccentricities
+from conftest import random_digraph, random_undirected, reference_eccentricities
 from ecclab import treewidth
 from ecclab.graph import INF, Graph
 from ecclab.oracle import VARIANTS, exact_eccentricities
@@ -49,6 +49,42 @@ def test_min_degree_heuristic_valid():
         g, _ = generate_partial_ktree(30, 2, 0.8, rng)
         td = min_degree_decomposition(g)
         td.validate(g)
+
+
+def scan_decomposition(g):
+    """min_degree_decomposition as it was before the heap, with a full scan
+    of the alive vertices at each step: the reference for the heap."""
+    n = g.n
+    nbr = [set() for _ in range(n)]
+    for u, v, _ in g.edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    alive = set(range(n))
+    bags, order = [], []
+    while alive:
+        v = min(alive, key=lambda x: (len(nbr[x]), x))
+        bags.append(frozenset({v} | nbr[v]))
+        order.append(v)
+        for a in nbr[v]:
+            nbr[a].discard(v)
+            nbr[a] |= nbr[v] - {a, v}
+        alive.remove(v)
+        nbr[v] = set()
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order[:-1]):
+        later = [u for u in bags[i] if u != v and pos[u] > i]
+        edges.append((i, pos[min(later, key=pos.get)] if later else n - 1))
+    return TreeDecomposition(bags, edges)
+
+
+def test_min_degree_heap_matches_scan():
+    rng = random.Random(17)
+    for trial in range(120):
+        n = rng.randint(1, 40)
+        make = random_undirected if trial % 2 else random_digraph
+        g = make(rng, n, rng.randint(0, 3 * n))
+        assert min_degree_decomposition(g) == scan_decomposition(g)
 
 
 def test_td_round_trip():
@@ -166,3 +202,27 @@ def test_tw_tiny_graphs():
     g = Graph(2, [(0, 1)], undirected=True)
     td = TreeDecomposition([{0, 1}], [])
     assert tw_eccentricities(g, td, "undirected").ecc == [1, 1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
+    # A weighted k-tree with n = 200: for the directed variants both arcs of
+    # every edge, weights 1..3.
+    if variant == "undirected":
+        g, td = generate_partial_ktree(200, 3, 1.0, substream(4, "tw-sweep"), max_weight=3)
+    else:
+        g, td = connected_ktree(4, variant)
+    swept = []
+    sweep = treewidth.sweep_eccentricities
+
+    def counted_sweep(*args):
+        report = sweep(*args)
+        swept.append(report is not None)
+        return report
+
+    monkeypatch.setattr(treewidth, "sweep_eccentricities", counted_sweep)
+    rep = tw_eccentricities(g, td, variant)
+    assert rep.ecc == exact_eccentricities(g, variant).ecc
+    assert rep.radius != INF
+    assert len(swept) >= 2
+    assert swept == [variant != "roundtrip"] * len(swept)
