@@ -28,6 +28,7 @@ from .oracle import (
     VariantError,
     exact_eccentricities,
     exact_median,
+    sweep_ecc,
     sweep_eccentricities,
     sweep_median,
 )

@@ -10,15 +10,17 @@ undirected) or of its row paired with its column (max, min, roundtrip)
 under the variant's pair combiner, done by the builtins ``max``, ``map`` and
 ``sum`` with no Python-level loop per pair.
 
-The level sweep (``sweep_eccentricities``, ``sweep_median``) is the fast
-path.  It grows, one distance level at a time, the bitmask of the vertices
+The level sweep (``sweep_ecc``, ``sweep_eccentricities``, ``sweep_median``)
+is the fast path on graphs whose weighted diameter is small against n.  It
+grows, one distance level at a time, the bitmask of the vertices
 within distance t of every vertex, at once for all vertices and in O(m)
 ORs of n-bit ints per level, as in the bit-parallel BFS of Akiba, Iwata and
 Yoshida (SIGMOD 2013).  It holds the last W + 1 levels, where W is the
 largest arc weight: (W + 1) n^2 / 8 bytes, twice that for max and min.  It
 returns None, for the caller to fall back to the matrix path, on
-``roundtrip`` (not a threshold of the two one-way masks) and when W exceeds
-``SWEEP_MAX_WEIGHT``.
+``roundtrip`` (not a threshold of the two one-way masks), when W exceeds
+``SWEEP_MAX_WEIGHT``, and once its work passes a budget set against the
+matrix path's (see ``sweep_ecc``).
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ VARIANTS = (UNDIRECTED, SOURCE, MAX, MIN, ROUNDTRIP)
 
 DEFAULT_CAP = 5000
 
-# Largest arc weight the level sweep takes.  Its memory grows as W + 1 levels
-# of n^2 bits and its level count as W times the unweighted diameter; above
-# this the matrix path is the cheaper one.
+# Largest arc weight the level sweep takes, for its memory: it holds W + 1
+# levels of n^2 bits per direction, 2 (W + 1) bits per vertex pair for max
+# and min, where the matrix path holds one 64-bit reference per pair.  On a
+# directed 3-tree of 3,000 vertices under max, the sweep peaked at 51 MB for
+# W = 16 and 92 MB for W = 31, the matrix path at 69 MB.  Time is bounded
+# separately, by the work budget of ``sweep_ecc``.
 SWEEP_MAX_WEIGHT = 16
 
 
@@ -102,10 +107,14 @@ def check_variant(g, variant):
         raise VariantError("variant 'undirected' requires an undirected graph")
 
 
+def _check_cap(g, cap):
+    if cap is not None and g.n > cap:
+        raise CapacityError(f"oracle capacity cap {cap} exceeded (n={g.n})")
+
+
 def all_pairs(g, cap=DEFAULT_CAP):
     """Forward distance matrix: row u holds d(u -> v) for every v."""
-    if cap is not None and g.n > cap:
-        raise CapacityError(f"all_pairs capacity cap {cap} exceeded (n={g.n})")
+    _check_cap(g, cap)
     return [shortest_paths(g, u, FORWARD) for u in range(g.n)]
 
 
@@ -165,6 +174,24 @@ def report_from_ecc(variant, ecc, witness=None):
     return EccentricityReport(variant, list(ecc), radius, diameter, center, witness)
 
 
+def _report_with_witness(variant, ecc, rows):
+    """report_from_ecc with the witness: the lexicographically smallest pair
+    (u, v), u != v, attaining the diameter.  rows(u) gives u's out-row
+    d(u -> .) and in-row d(. -> u)."""
+    report = report_from_ecc(variant, ecc)
+    if len(ecc) > 1:
+        # A pair attaining the diameter starts at a vertex whose eccentricity
+        # is the diameter, so the first such vertex holds the smallest pair.
+        diameter = report.diameter
+        u = ecc.index(diameter)
+        row = list(pair_row(variant, *rows(u)))
+        v = row.index(diameter)
+        if v == u:
+            v = row.index(diameter, u + 1)
+        report.witness = (u, v)
+    return report
+
+
 def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     """Eccentricities of every vertex under the chosen variant, exactly.
 
@@ -180,18 +207,7 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     else:
         # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
         ecc = [max(map(op, row, col)) for row, col in zip(mat, zip(*mat))]
-    report = report_from_ecc(variant, ecc)
-    if len(ecc) > 1:
-        # A pair attaining the diameter starts at a vertex whose eccentricity
-        # is the diameter, so the first such vertex holds the smallest pair.
-        diameter = report.diameter
-        u = ecc.index(diameter)
-        row = list(pair_row(variant, mat[u], [r[u] for r in mat]))
-        v = row.index(diameter)
-        if v == u:
-            v = row.index(diameter, u + 1)
-        report.witness = (u, v)
-    return report
+    return _report_with_witness(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
 
 
 def exact_median(g, cap=DEFAULT_CAP):
@@ -203,11 +219,6 @@ def exact_median(g, cap=DEFAULT_CAP):
     sums = [sum(row) for row in all_pairs(g, cap)]
     best = min(sums, default=INF)
     return (sums.index(best) if sums else 0), best
-
-
-def _check_sweep_cap(g, cap):
-    if cap is not None and g.n > cap:
-        raise CapacityError(f"sweep capacity cap {cap} exceeded (n={g.n})")
 
 
 def _zero_groups(n, adj):
@@ -273,35 +284,46 @@ def _levels(n, adj, weight):
         level = new
 
 
-def _sweep_weight(g):
-    """W for the sweep, or None when it is above SWEEP_MAX_WEIGHT."""
+def _sweep_setup(g, cap, budget):
+    """(W, work budget) for the sweep, or None when W exceeds
+    SWEEP_MAX_WEIGHT."""
+    _check_cap(g, cap)
     weight = max(1, g.max_weight)
-    return weight if weight <= SWEEP_MAX_WEIGHT else None
+    if weight > SWEEP_MAX_WEIGHT:
+        return None
+    return weight, g.n * g.n // 4 if budget is None else budget
 
 
-def sweep_eccentricities(g, variant, cap=DEFAULT_CAP):
-    """The report of ``exact_eccentricities``, witness included, from the
-    level sweep; None for ``roundtrip`` or when the largest weight exceeds
-    SWEEP_MAX_WEIGHT.
+def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
+    """The eccentricities of ``exact_eccentricities`` from the level sweep,
+    or None: for ``roundtrip``, when the largest weight exceeds
+    SWEEP_MAX_WEIGHT, or once the sweep's work passes ``budget``.
 
     ecc(u) is the first t at which u's mask is full: F_t[u] for source and
     undirected, F_t[u] & B_t[u] for max and F_t[u] | B_t[u] for min, where
     B_t[u], the v with d(v -> u) <= t, is the same sweep over the reversed
-    arcs run in lockstep.  A mask that never fills gives INF.  The witness
-    comes from one shortest-path run each way from the first vertex whose
-    eccentricity is the diameter.
+    arcs run in lockstep.  A mask that never fills gives INF.
+
+    The work is the number of masks found not full, summed over the levels;
+    a level does its ORs only for those.  Measured on paths, cycles,
+    directed paths and chains of triangles of 1,000 and 2,500 vertices, one
+    such mask cost 1.5 to 4.6 vertex visits of a single-source run, and the
+    matrix path makes n^2 visits.  So the default budget, n^2 / 4, gives up
+    about where the sweep stops being the cheaper path; on those graphs, and
+    on paths and cycles of 5,000 vertices, the sweep that gave up and the
+    matrix path together took 1.3 to 2.2 times the matrix path alone.
+    Random 3-trees of 1,000 and 2,500 vertices needed under n^2 / 30.
     """
     check_variant(g, variant)
-    _check_sweep_cap(g, cap)
-    weight = _sweep_weight(g)
-    if variant == ROUNDTRIP or weight is None:
+    setup = _sweep_setup(g, cap, budget)
+    if variant == ROUNDTRIP or setup is None:
         return None
+    weight, budget = setup
     n = g.n
     full = (1 << n) - 1
     levels = _levels(n, g.adj_out, weight)
     # On an undirected graph B = F, and max and min are the forward masks.
-    two_way = variant in (MAX, MIN) and not g.undirected
-    if two_way:
+    if variant in (MAX, MIN) and not g.undirected:
         join = and_ if variant == MAX else or_
         levels = (
             (list(map(join, f, b)), f_settled and b_settled)
@@ -309,6 +331,7 @@ def sweep_eccentricities(g, variant, cap=DEFAULT_CAP):
         )
     ecc = [INF] * n
     pending = range(n)
+    work = 0
     for t, (masks, settled) in enumerate(levels):
         left = []
         for u in pending:
@@ -318,42 +341,58 @@ def sweep_eccentricities(g, variant, cap=DEFAULT_CAP):
                 left.append(u)
         pending = left
         if not pending or settled:
-            break
-    report = report_from_ecc(variant, ecc)
-    if n > 1:
-        diameter = report.diameter
-        u = ecc.index(diameter)
+            return ecc
+        work += len(pending)
+        if work > budget:
+            return None
+
+
+def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
+    """The report of ``exact_eccentricities``, witness included, from
+    ``sweep_ecc``, or None where that is None.  The witness comes from one
+    shortest-path run each way from the first vertex whose eccentricity is
+    the diameter."""
+    ecc = sweep_ecc(g, variant, cap, budget)
+    if ecc is None:
+        return None
+
+    def rows(u):
         out_row = shortest_paths(g, u, FORWARD)
-        in_row = shortest_paths(g, u, BACKWARD) if two_way else out_row
-        row = list(pair_row(variant, out_row, in_row))
-        v = row.index(diameter)
-        if v == u:
-            v = row.index(diameter, u + 1)
-        report.witness = (u, v)
-    return report
+        # Source reads only the out-row; on an undirected graph the in-row is
+        # the out-row.
+        if variant == SOURCE or g.undirected:
+            return out_row, out_row
+        return out_row, shortest_paths(g, u, BACKWARD)
+
+    return _report_with_witness(variant, ecc, rows)
 
 
-def sweep_median(g, cap=DEFAULT_CAP):
-    """``exact_median`` from the level sweep; None when the largest weight
-    exceeds SWEEP_MAX_WEIGHT.
+def sweep_median(g, cap=DEFAULT_CAP, budget=None):
+    """``exact_median`` from the level sweep, or None when the largest weight
+    exceeds SWEEP_MAX_WEIGHT or the work passes ``budget``, as in
+    ``sweep_ecc``.
 
     The distance sum of u is the total over levels t of the vertices not yet
     within distance t, n - popcount(F_t[u]), and INF if F_t[u] never fills.
     """
-    _check_sweep_cap(g, cap)
-    weight = _sweep_weight(g)
-    if weight is None:
+    setup = _sweep_setup(g, cap, budget)
+    if setup is None:
         return None
+    weight, budget = setup
     n = g.n
     full = (1 << n) - 1
     sums = [0] * n
     pending = range(n)
+    work = 0
     for masks, settled in _levels(n, g.adj_out, weight):
         pending = [u for u in pending if masks[u] != full]
         for u in pending:
             sums[u] += n - masks[u].bit_count()
         if not pending or settled:
             break
+        work += len(pending)
+        if work > budget:
+            return None
     for u in pending:
         sums[u] = INF
     best = min(sums, default=INF)

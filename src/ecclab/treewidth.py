@@ -37,7 +37,7 @@ from .oracle import (
     exact_eccentricities,
     pair_row,
     report_from_ecc,
-    sweep_eccentricities,
+    sweep_ecc,
 )
 from .rangemax import ThreeLayerInstance, three_layer_farthest
 
@@ -544,8 +544,7 @@ def _cross_values(variant, avs, plist, cvs, fwd, bwd):
 
 
 def _base_case(g, variant):
-    report = sweep_eccentricities(g, variant, None) or exact_eccentricities(g, variant, cap=None)
-    return report.ecc
+    return sweep_ecc(g, variant, None) or exact_eccentricities(g, variant, cap=None).ecc
 
 
 def _solve(g, td, variant):

@@ -21,6 +21,7 @@ from ecclab.oracle import (
     exact_eccentricities,
     exact_median,
     pair_distance,
+    sweep_ecc,
     sweep_eccentricities,
     sweep_median,
 )
@@ -227,14 +228,14 @@ def test_sweep_matches_reference_report(g):
     for variant in _variants(g):
         if variant == "roundtrip":
             continue
-        rep = sweep_eccentricities(g, variant, None)
+        rep = sweep_eccentricities(g, variant, None, budget=INF)
         assert rep.to_json() == reference_report(g, variant).to_json()
 
 
 @settings(max_examples=300, deadline=None)
 @given(zero_heavy_graphs())
 def test_sweep_median_matches_reference(g):
-    assert sweep_median(g, None) == _median_reference(g)
+    assert sweep_median(g, None, budget=INF) == _median_reference(g)
 
 
 # A zero-weight cycle 0 -> 1 -> 2 -> 0 with a tail and a zero-weight chain
@@ -257,39 +258,71 @@ SWEEP_CASES = [
 def test_sweep_fixed_cases(g):
     for variant in _variants(g):
         if variant != "roundtrip":
-            assert sweep_eccentricities(g, variant).to_json() == \
+            assert sweep_eccentricities(g, variant, budget=INF).to_json() == \
                 reference_report(g, variant).to_json()
-    assert sweep_median(g) == _median_reference(g)
+    assert sweep_median(g, budget=INF) == _median_reference(g)
 
 
 def test_sweep_fixed_values():
+    def ecc(g, variant):
+        return sweep_ecc(g, variant, budget=INF)
+
+    def median(g):
+        return sweep_median(g, budget=INF)
+
     cycle = SWEEP_CASES[0]
-    assert sweep_eccentricities(cycle, "source").ecc == [2, 2, 2, INF]
-    assert sweep_eccentricities(cycle, "min").ecc == [2, 2, 2, 2]
-    assert sweep_median(cycle) == (0, 2)
+    assert ecc(cycle, "source") == [2, 2, 2, INF]
+    assert ecc(cycle, "min") == [2, 2, 2, 2]
+    assert median(cycle) == (0, 2)
     chain = SWEEP_CASES[2]
-    assert sweep_eccentricities(chain, "source").ecc == [0, 1, 1, 1]
-    assert sweep_median(chain) == (0, 0)
+    assert ecc(chain, "source") == [0, 1, 1, 1]
+    assert median(chain) == (0, 0)
     isolated = SWEEP_CASES[3]
-    assert sweep_eccentricities(isolated, "undirected").ecc == [INF] * 5
-    assert sweep_median(isolated) == (0, INF)
+    assert ecc(isolated, "undirected") == [INF] * 5
+    assert median(isolated) == (0, INF)
     path = SWEEP_CASES[5]
-    assert sweep_eccentricities(path, "undirected").ecc == [11, 10, 6, 11]
-    assert sweep_eccentricities(path, "undirected").witness == (0, 3)
-    assert sweep_median(path) == (1, 16)
+    assert ecc(path, "undirected") == [11, 10, 6, 11]
+    assert sweep_eccentricities(path, "undirected", budget=INF).witness == (0, 3)
+    assert median(path) == (1, 16)
 
 
 def test_sweep_falls_back_on_roundtrip_and_heavy_weights():
     g = Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    assert sweep_eccentricities(g, "roundtrip") is None
-    assert sweep_eccentricities(g, "source") is not None
+    assert sweep_eccentricities(g, "roundtrip", budget=INF) is None
+    assert sweep_eccentricities(g, "source", budget=INF) is not None
     at_limit = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT), (1, 0, 1)])
-    assert sweep_eccentricities(at_limit, "max").ecc == [SWEEP_MAX_WEIGHT] * 2
-    assert sweep_median(at_limit) == (1, 1)
+    assert sweep_ecc(at_limit, "max", budget=INF) == [SWEEP_MAX_WEIGHT] * 2
+    assert sweep_median(at_limit, budget=INF) == (1, 1)
     heavy = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT + 1), (1, 0, 1)])
     for variant in ("source", "max", "min", "roundtrip"):
-        assert sweep_eccentricities(heavy, variant) is None
-    assert sweep_median(heavy) is None
+        assert sweep_eccentricities(heavy, variant, budget=INF) is None
+    assert sweep_median(heavy, budget=INF) is None
+
+
+def test_sweep_gives_up_past_its_work_budget():
+    # On a path of 10 vertices the masks still to fill number 10 at levels 0
+    # to 4, then 8, 6, 4, 2: 70 in all, past the default budget 10^2 // 4.
+    path = Graph(10, [(i, i + 1, 1) for i in range(9)], undirected=True)
+    assert sweep_ecc(path, "undirected") is None
+    assert sweep_eccentricities(path, "undirected") is None
+    assert sweep_median(path) is None
+    assert sweep_ecc(path, "undirected", budget=69) is None
+    assert sweep_median(path, budget=69) is None
+    assert sweep_eccentricities(path, "undirected", budget=70).to_json() == \
+        reference_report(path, "undirected").to_json()
+    assert sweep_median(path, budget=70) == _median_reference(path)
+    # Masks that never fill count until the sweep settles, W = 2 unchanged
+    # levels after the last change at level 3: 12 + 12 + 12 + 11 + 11.
+    tail = Graph(12, [(0, i, 1) for i in range(1, 10)] + [(10, 11, 2), (0, 10, 1)])
+    assert sweep_ecc(tail, "source", budget=57) is None
+    assert sweep_ecc(tail, "source", budget=58) == [3] + [INF] * 11
+    # 10 + 9 masks on a star, within the default budget; 5 * 10 on a cycle,
+    # past it.
+    star = Graph(10, [(0, i, 1) for i in range(1, 10)], undirected=True)
+    assert sweep_ecc(star, "undirected") == [1] + [2] * 9
+    cycle = Graph(10, [(i, (i + 1) % 10, 1) for i in range(10)], undirected=True)
+    assert sweep_ecc(cycle, "undirected") is None
+    assert sweep_ecc(cycle, "undirected", budget=50) == [5] * 10
 
 
 def test_sweep_capacity_and_variant_checks():

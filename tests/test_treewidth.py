@@ -213,14 +213,15 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     else:
         g, td = connected_ktree(4, variant)
     swept = []
-    sweep = treewidth.sweep_eccentricities
+    sweep = treewidth.sweep_ecc
 
-    def counted_sweep(*args):
-        report = sweep(*args)
-        swept.append(report is not None)
-        return report
+    def unbounded_sweep(g, variant, cap):
+        # Every base case through the sweep, however much work it takes.
+        ecc = sweep(g, variant, cap, budget=INF)
+        swept.append(ecc is not None)
+        return ecc
 
-    monkeypatch.setattr(treewidth, "sweep_eccentricities", counted_sweep)
+    monkeypatch.setattr(treewidth, "sweep_ecc", unbounded_sweep)
     rep = tw_eccentricities(g, td, variant)
     assert rep.ecc == exact_eccentricities(g, variant).ecc
     assert rep.radius != INF
