@@ -147,9 +147,6 @@ def approx_min_diameter_dag(g):
 
     D/2 <= estimate <= D, via divide and conquer on the topological order.
     """
-    order = topological_order(g)
-    if order is None:
-        raise ValueError("approx_min_diameter_dag requires a DAG")
     h, _ = relabel_topological(g)
     n = h.n
     if n <= 1:
@@ -292,9 +289,6 @@ def approx_min_radius_dag(g):
     estimate r satisfies r <= R.  Estimate is INF when every vertex has
     infinite min-eccentricity.
     """
-    order = topological_order(g)
-    if order is None:
-        raise ValueError("approx_min_radius_dag requires a DAG")
     h, back = relabel_topological(g)
     n = h.n
     if n <= 1:

@@ -191,16 +191,7 @@ def cmd_exact(args):
 
 def cmd_approx(args):
     g = _load_graph(args)
-    rng = substream(args.seed, f"approx:{args.algorithm}")
-    if args.algorithm == "source-radius":
-        res = approx_source_radius(g, rng)
-    elif args.algorithm == "min-diameter":
-        res = approx_min_diameter(g, rng, args.epsilon)
-    elif args.algorithm == "min-diameter-dag":
-        res = approx_min_diameter_dag(g)
-    elif args.algorithm == "min-radius-dag":
-        res = approx_min_radius_dag(g)
-    elif args.algorithm == "finite-min-ecc":
+    if args.algorithm == "finite-min-ecc":
         finite = finite_min_eccentricities(g)
         if args.format == "json":
             _emit(args, json.dumps({"finite": finite}, sort_keys=True) + "\n")
@@ -210,8 +201,19 @@ def cmd_approx(args):
                 lines.append(f"{v}\t{int(ok)}")
             _emit(args, "\n".join(lines) + "\n")
         return 0
-    else:
-        raise SystemExit2(f"unknown algorithm {args.algorithm!r}")
+    rng = substream(args.seed, f"approx:{args.algorithm}")
+    try:
+        if args.algorithm == "source-radius":
+            res = approx_source_radius(g, rng)
+        elif args.algorithm == "min-diameter":
+            res = approx_min_diameter(g, rng, args.epsilon)
+        elif args.algorithm == "min-diameter-dag":
+            res = approx_min_diameter_dag(g)
+        else:
+            res = approx_min_radius_dag(g)
+    except ValueError as exc:
+        # The algorithms raise ValueError only for an input they do not take.
+        raise SystemExit2(str(exc)) from exc
     est = "inf" if res.estimate == INF else res.estimate
     lo, hi = res.guarantee
     if args.format == "json":

@@ -275,11 +275,12 @@ def sample_vertex_set(n, size, rng):
 def relabel_topological(g):
     """Relabel a DAG so vertex ids are a topological order.
 
-    Returns (relabeled_graph, order) where order[new_id] = original id.
+    Returns (relabeled_graph, order) where order[new_id] = original id, and
+    raises ValueError when g has a cycle (an undirected edge is one).
     """
     order = topological_order(g)
     if order is None:
-        raise ValueError("graph has a cycle")
+        raise ValueError("graph is not a DAG")
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i

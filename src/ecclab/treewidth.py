@@ -19,6 +19,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import add
 
 from .graph import (
     BACKWARD,
@@ -109,20 +110,14 @@ class TreeDecomposition:
         for u, v, _ in g.edges:
             if not any(v in self.bags[bi] for bi in where[u]):
                 raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
-        # Connectivity: bags containing each vertex must form a subtree.
+        # The bags containing v induce a forest of the bag tree, which is one
+        # subtree exactly when its tree edges number one less than its bags.
+        shared = [0] * g.n
+        for i, j in self.tree:
+            for v in self.bags[i] & self.bags[j]:
+                shared[v] += 1
         for v in range(g.n):
-            if not where[v]:
-                continue
-            member = set(where[v])
-            q = deque([where[v][0]])
-            reached = {where[v][0]}
-            while q:
-                u = q.popleft()
-                for w in adj[u]:
-                    if w in member and w not in reached:
-                        reached.add(w)
-                        q.append(w)
-            if reached != member:
+            if shared[v] != len(where[v]) - 1:
                 raise DecompositionError(f"bags containing vertex {v} are not connected")
 
 
@@ -492,54 +487,33 @@ def _augmented_side(g, pos, portals, fwd):
     return Graph(len(pos), edges, undirected=g.undirected)
 
 
-def _cross_values(variant, avs, plist, cvs, fwd, bwd):
+def _cross_values(variant, avs, portals, cvs, fwd, bwd):
     """max over cvs of the variant pair distance, routed through portals.
 
     fwd[p][v] = d(p -> v) and bwd[p][v] = d(v -> p) in the ambient graph.
-    Returns one value per vertex of avs.
+    A middle vertex is a pair of distance rows (d(a -> mid), d(mid -> c)):
+    out holds the legs a -> p -> c, back the legs c -> p -> a.  Returns one
+    value per vertex of avs, INF for each when no portal joins the sides.
     """
+    if not portals:
+        return [INF] * len(avs)
 
-    def run(ab_entry, bc_entry, middle):
-        d_ab = [[ab_entry(a, b) for b in middle] for a in avs]
-        d_bc = [[bc_entry(b, c) for c in cvs] for b in middle]
-        return three_layer_farthest(ThreeLayerInstance(d_ab, d_bc))
+    def farthest(middle):
+        d_ab = [[to_mid[a] for to_mid, _ in middle] for a in avs]
+        d_bc = [[from_mid[c] for c in cvs] for _, from_mid in middle]
+        return [v for v, _ in three_layer_farthest(ThreeLayerInstance(d_ab, d_bc))]
 
-    if variant == UNDIRECTED:
-        res = run(lambda a, p: fwd[p][a], lambda p, c: fwd[p][c], plist)
-        return [v for v, _ in res]
-    if variant == SOURCE:
-        res = run(lambda a, p: bwd[p][a], lambda p, c: fwd[p][c], plist)
-        return [v for v, _ in res]
+    out = [(bwd[p], fwd[p]) for p in portals]
+    back = [(fwd[p], bwd[p]) for p in portals]
+    if variant in (SOURCE, UNDIRECTED):  # undirected graphs have bwd is fwd
+        return farthest(out)
     if variant == MAX:
-        out = run(lambda a, p: bwd[p][a], lambda p, c: fwd[p][c], plist)
-        back = run(lambda a, p: fwd[p][a], lambda p, c: bwd[p][c], plist)
-        return [max(x[0], y[0]) for x, y in zip(out, back)]
+        return list(map(max, farthest(out), farthest(back)))
     if variant == MIN:
-        middle = [(p, d) for p in plist for d in (0, 1)]
-
-        def ab(a, pd):
-            p, d = pd
-            return bwd[p][a] if d == 0 else fwd[p][a]
-
-        def bc(pd, c):
-            p, d = pd
-            return fwd[p][c] if d == 0 else bwd[p][c]
-
-        res = run(ab, bc, middle)
-        return [v for v, _ in res]
+        return farthest(out + back)
     if variant == ROUNDTRIP:
-        middle = [(p, q) for p in plist for q in plist]
-
-        def ab(a, pq):
-            p, q = pq
-            return bwd[p][a] + fwd[q][a]
-
-        def bc(pq, c):
-            p, q = pq
-            return fwd[p][c] + bwd[q][c]
-
-        res = run(ab, bc, middle)
-        return [v for v, _ in res]
+        # Leg by leg, the row sums of every (out, back) pair: a -> p -> c -> q -> a.
+        return farthest([[list(map(add, *rows)) for rows in zip(o, b)] for o in out for b in back])
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -556,45 +530,23 @@ def _solve(g, td, variant):
         split = find_portal_split(g, td)
     except PortalSplitError:
         return _base_case(g, variant)
-    side = split.side
     portals = sorted(split.portals)
-    if len(side) <= len(portals) or len(side) >= n:
-        return _base_case(g, variant)
-
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}
     # On an undirected graph adj_in is adj_out, so d(v -> p) = d(p -> v).
     bwd = fwd if g.undirected else {p: shortest_paths(g, p, BACKWARD) for p in portals}
 
-    def recurse(vertices):
-        pos = {v: i for i, v in enumerate(vertices)}
-        return _solve(_augmented_side(g, pos, portals, fwd), _restricted(td, pos), variant)
-
-    side_sorted = sorted(side)
-    comp_sorted = sorted(split.complement | split.portals)
-    ecc_s = recurse(side_sorted)
-    ecc_c = recurse(comp_sorted)
-
-    pset = set(portals)
-    a_side = [v for v in side_sorted if v not in pset]
-    c_side = sorted(split.complement)
-    cross_a = _cross_values(variant, a_side, portals, c_side, fwd, bwd) if c_side else None
-    cross_c = _cross_values(variant, c_side, portals, a_side, fwd, bwd) if a_side else None
-    a_index = {v: i for i, v in enumerate(a_side)}
-    c_index = {v: i for i, v in enumerate(c_side)}
-
     ecc = [0] * n
     for p in portals:
         ecc[p] = max(pair_row(variant, fwd[p], bwd[p]))
-    for i, v in enumerate(side_sorted):
-        if v in pset:
-            continue
-        local = ecc_s[i]
-        ecc[v] = max(local, cross_a[a_index[v]]) if cross_a is not None else local
-    for i, v in enumerate(comp_sorted):
-        if v in pset:
-            continue
-        local = ecc_c[i]
-        ecc[v] = max(local, cross_c[c_index[v]]) if cross_c is not None else local
+    # n > max(width ** 3, 16) puts more than width vertices in the split's
+    # side, so neither inner nor outer is empty.
+    inner = sorted(split.side - split.portals)
+    outer = sorted(split.complement)
+    for own, far in ((inner, outer), (outer, inner)):
+        pos = {v: i for i, v in enumerate(sorted(own + portals))}
+        local = _solve(_augmented_side(g, pos, portals, fwd), _restricted(td, pos), variant)
+        for v, cross in zip(own, _cross_values(variant, own, portals, far, fwd, bwd)):
+            ecc[v] = max(local[pos[v]], cross)
     return ecc
 
 

@@ -166,9 +166,18 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
     ({"g.graph": "p 1 1 U W\n0 0 -5\n"}, ["exact", "--input", "g.graph"]),
     ({"g.graph": "p 2 1 U 1\n0 1\n", "g.td": "s td 2 2 2\nb 1 0 1\nb 2 1\n1 2 7 x\n"},
      ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": "p 3 3 D 1\n0 1\n1 2\n2 0\n"},
+     ["approx", "--input", "g.graph", "--algorithm", "min-diameter-dag"]),
+    ({"g.graph": "p 3 2 U 1\n0 1\n1 2\n"},
+     ["approx", "--input", "g.graph", "--algorithm", "min-radius-dag"]),
+    ({"g.graph": "p 2 1 D W\n0 1 2\n"},
+     ["approx", "--input", "g.graph", "--algorithm", "min-diameter"]),
+    ({"g.graph": GOOD_GRAPH},
+     ["approx", "--input", "g.graph", "--algorithm", "min-diameter", "--epsilon", "0"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
-        "gen-negative-d", "graph-self-loop-weight", "td-edge-extra-field"])
+        "gen-negative-d", "graph-self-loop-weight", "td-edge-extra-field", "approx-dag-cycle",
+        "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

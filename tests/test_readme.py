@@ -1,0 +1,28 @@
+"""README's examples run as written: the library block as Python, and each
+`ecclab ...` line of the CLI block through `cli.main`."""
+
+import re
+import shlex
+from pathlib import Path
+
+from ecclab.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.M | re.S)
+
+
+def test_readme_python_block_runs():
+    (code,) = blocks("python")
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = [line for block in blocks("sh") for line in block.splitlines()
+             if line.startswith("ecclab ")]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

@@ -227,3 +227,40 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     assert rep.radius != INF
     assert len(swept) >= 2
     assert swept == [variant != "roundtrip"] * len(swept)
+
+
+def variants_of(g):
+    return [v for v in VARIANTS if g.undirected or v != "undirected"]
+
+
+def two_paths(directed):
+    """Two disjoint paths of 20 vertices; directed: both arcs of every edge."""
+    edges = [(u, u + 1) for start in (0, 20) for u in range(start, start + 19)]
+    if directed:
+        return Graph(40, edges + [(v, u) for u, v in edges])
+    return Graph(40, edges, undirected=True)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_tw_split_without_portals(directed):
+    # Some splits of a disconnected graph have no portal; every cross-side
+    # distance is then INF.
+    g = two_paths(directed)
+    path_td = TreeDecomposition([{u, u + 1} for u in range(39)], [(u, u + 1) for u in range(38)])
+    for td in (path_td, min_degree_decomposition(g)):
+        for variant in variants_of(g):
+            assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+
+
+def test_tw_matches_oracle_on_sparse_partial_ktrees():
+    # Edge-keep 0.3 leaves many components, so many splits have few portals
+    # or none.
+    rng = random.Random(5)
+    for trial in range(12):
+        k = rng.randint(1, 3)
+        directed = trial % 2 == 1
+        g, gen_td = generate_partial_ktree(rng.randint(k + 1, 90), k, 0.3, rng,
+                                           directed=directed, max_weight=3)
+        for td in (gen_td, min_degree_decomposition(g)):
+            for variant in variants_of(g):
+                assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
