@@ -25,7 +25,17 @@ from .graph import (
     topological_order,
     truncated_shortest_paths,
 )
-from .oracle import MAX, ROUNDTRIP, SOURCE, UNDIRECTED, check_variant, pair_row
+from .oracle import (
+    MAX,
+    MIN,
+    ROUNDTRIP,
+    SOURCE,
+    UNDIRECTED,
+    check_variant,
+    exact_source_ecc,
+    pair_row,
+    sweep_source_ecc,
+)
 
 
 @dataclass
@@ -36,45 +46,35 @@ class ApproxResult:
     whp: bool
 
 
-def _source_ecc(dist, source):
-    e = 0
-    for v, d in enumerate(dist):
-        if v != source and d > e:
-            e = d
-    return e
+def _sampled_ecc(g, variant, sources):
+    """(ecc, near) of ``oracle.exact_source_ecc`` for the sampled sources:
+    one level sweep with a bit per source, or one shortest-path run each way
+    per source where the sweep gives up."""
+    return sweep_source_ecc(g, variant, sources, None) or exact_source_ecc(g, variant, sources)
 
 
 def approx_source_radius(g, rng, c=2):
     """2-approximation of the source radius R = min_v max_u d(v -> u).
 
     Deterministically estimate >= R; estimate <= 2R with high probability.
-    The estimate is the exact source eccentricity of the returned witness.
+    The estimate is the exact source eccentricity of the returned witness,
+    the first sampled vertex with the least eccentricity.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
     size1 = min(n, max(1, math.ceil(c * math.sqrt(n) * math.log(n)))) if n > 1 else 1
-    s1 = sample_vertex_set(n, size1, rng)
-    dists = {s: shortest_paths(g, s, FORWARD) for s in sorted(s1)}
+    s1 = sorted(sample_vertex_set(n, size1, rng))
+    ecc1, near = _sampled_ecc(g, SOURCE, s1)
 
     # w maximizes its distance to the sample (covered worst vertex).
-    w, w_score = 0, -1
-    for v in range(n):
-        score = min(dists[s][v] for s in dists)
-        if score > w_score:
-            w, w_score = v, score
+    w = near.index(max(near))
     size2 = math.ceil(math.sqrt(n))
-    s2 = [v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)]
+    s2 = sorted({v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)}.difference(s1))
+    ecc2, _ = _sampled_ecc(g, SOURCE, s2)
 
-    best_v, best_e = None, INF
-    for s in sorted(set(dists) | set(s2)):
-        dist = dists.get(s)
-        if dist is None:
-            dist = shortest_paths(g, s, FORWARD)
-        e = _source_ecc(dist, s)
-        if e < best_e:
-            best_v, best_e = s, e
-    return ApproxResult(best_e, best_v, (Fraction(1), Fraction(2)), whp=True)
+    best, witness = min(zip(ecc1 + ecc2, s1 + s2))
+    return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
 
 
 def approx_min_diameter(g, rng, epsilon, c=2):
@@ -92,18 +92,16 @@ def approx_min_diameter(g, rng, epsilon, c=2):
         raise ValueError("empty graph")
     size = min(n, max(1, math.ceil(c * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
     sample = sorted(sample_vertex_set(n, size, rng))
+    ecc, _ = _sampled_ecc(g, MIN, sample)
     est = 1 if g.has_edge() else 0
     witness = None
-    for s in sample:
-        fwd = shortest_paths(g, s, FORWARD)
-        bwd = shortest_paths(g, s, BACKWARD)
-        for v in range(n):
-            if v == s:
-                continue
-            d = min(fwd[v], bwd[v])
-            if d > est:
-                est = d
-                witness = v
+    # The witness is the first vertex at the largest distance from the first
+    # sampled vertex that attains it, as a scan of the samples in order finds.
+    diameter = max(ecc)
+    if diameter > est:
+        s = sample[ecc.index(diameter)]
+        row = list(pair_row(MIN, shortest_paths(g, s, FORWARD), shortest_paths(g, s, BACKWARD)))
+        est, witness = diameter, row.index(diameter)
     factor = Fraction(max(3, math.ceil(n ** float(epsilon)))) if n else Fraction(3)
     return ApproxResult(est, witness, (Fraction(1), factor), whp=True)
 

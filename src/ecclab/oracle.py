@@ -20,7 +20,12 @@ largest arc weight: (W + 1) n^2 / 8 bytes, twice that for max and min.  It
 returns None, for the caller to fall back to the matrix path, on
 ``roundtrip`` (not a threshold of the two one-way masks), when W exceeds
 ``SWEEP_MAX_WEIGHT``, and once its work passes a budget set against the
-matrix path's (see ``sweep_ecc``).
+matrix path's (see ``sweep_ecc``).  ``ecclab exact``, ``ecclab verify`` and
+the treewidth solver's base cases try it first.
+
+Seeded with one bit per vertex of a sample instead of one per vertex, the
+same sweep answers the sampled searches of ``approx`` (``sweep_source_ecc``,
+with ``exact_source_ecc`` the row-by-row reference it falls back to).
 """
 
 from __future__ import annotations
@@ -242,18 +247,23 @@ def _zero_groups(n, adj):
     return steps
 
 
-def _levels(n, adj, weight):
+def _levels(n, adj, weight, start=None):
     """Yield (F_t, settled) for t = 0, 1, 2, ...
 
-    F_t[u] is the bitmask of the v with d(u -> v) <= t along the arcs of adj
-    (bit v set), and F_t[u] = F_{t-1}[u] | OR over arcs (u -> x, w) of
-    F_{t-w}[x], closed over the zero-weight arcs.  settled is true once
-    ``weight`` levels in a row brought no change: a level reads only the
-    last ``weight`` ones, so no later level changes either, and every later
-    item is the same.  Stopping at the first unchanged level would be wrong
-    when an arc of weight w > 1 has yet to bring in F_{t-w}.
+    F_0 is ``start`` closed over the zero-weight arcs, and F_t[u] =
+    F_{t-1}[u] | OR over arcs (u -> x, w) of F_{t-w}[x], closed the same
+    way.  With the default start, F_0[v] = 1 << v, F_t[u] is the bitmask of
+    the v with d(u -> v) <= t along the arcs of adj (bit v set).  A mask
+    equal to the OR of the start masks is full and takes no more ORs.
+    settled is true once ``weight`` levels in a row brought no change: a
+    level reads only the last ``weight`` ones, so no later level changes
+    either, and every later item is the same.  Stopping at the first
+    unchanged level would be wrong when an arc of weight w > 1 has yet to
+    bring in F_{t-w}.
     """
-    full = (1 << n) - 1
+    if start is None:
+        start = [1 << u for u in range(n)]
+    full = reduce(or_, start, 0)
     # Arc (u -> x, w > 0) reads entry x of F_{t-w}, which sits at
     # (w - 1) n + x in the last `weight` levels laid end to end.
     reads = [[(w - 1) * n + x for x, w in adj[u] if w] for u in range(n)]
@@ -267,7 +277,7 @@ def _levels(n, adj, weight):
                 level[v] = acc
         return level
 
-    level = close([1 << u for u in range(n)])
+    level = close(list(start))
     past = deque([level] + [[0] * n] * (weight - 1), maxlen=weight)
     still = 0
     while True:
@@ -284,14 +294,28 @@ def _levels(n, adj, weight):
         level = new
 
 
-def _sweep_setup(g, cap, budget):
-    """(W, work budget) for the sweep, or None when W exceeds
-    SWEEP_MAX_WEIGHT."""
+def _sweep_setup(g, cap, budget, rows):
+    """(W, work budget) for a sweep that stands in for ``rows`` single-source
+    runs, or None when W exceeds SWEEP_MAX_WEIGHT."""
     _check_cap(g, cap)
     weight = max(1, g.max_weight)
     if weight > SWEEP_MAX_WEIGHT:
         return None
-    return weight, g.n * g.n // 4 if budget is None else budget
+    return weight, rows * g.n // 4 if budget is None else budget
+
+
+def _joined_levels(g, variant, weight, arcs, other, start=None):
+    """``_levels`` over ``arcs``, joined for max and min with the same sweep
+    over ``other``, the reversed arcs: an entry of the join is the AND (max)
+    or OR (min) of the two.  On an undirected graph both are one sweep."""
+    levels = _levels(g.n, arcs, weight, start)
+    if variant in (MAX, MIN) and not g.undirected:
+        join = and_ if variant == MAX else or_
+        levels = (
+            (list(map(join, f, b)), f_settled and b_settled)
+            for (f, f_settled), (b, b_settled) in zip(levels, _levels(g.n, other, weight, start))
+        )
+    return levels
 
 
 def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -315,20 +339,13 @@ def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
     Random 3-trees of 1,000 and 2,500 vertices needed under n^2 / 30.
     """
     check_variant(g, variant)
-    setup = _sweep_setup(g, cap, budget)
+    setup = _sweep_setup(g, cap, budget, g.n)
     if variant == ROUNDTRIP or setup is None:
         return None
     weight, budget = setup
     n = g.n
     full = (1 << n) - 1
-    levels = _levels(n, g.adj_out, weight)
-    # On an undirected graph B = F, and max and min are the forward masks.
-    if variant in (MAX, MIN) and not g.undirected:
-        join = and_ if variant == MAX else or_
-        levels = (
-            (list(map(join, f, b)), f_settled and b_settled)
-            for (f, f_settled), (b, b_settled) in zip(levels, _levels(n, g.adj_in, weight))
-        )
+    levels = _joined_levels(g, variant, weight, g.adj_out, g.adj_in)
     ecc = [INF] * n
     pending = range(n)
     work = 0
@@ -355,16 +372,87 @@ def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
     ecc = sweep_ecc(g, variant, cap, budget)
     if ecc is None:
         return None
+    return _report_with_witness(variant, ecc, lambda u: _rows(g, variant, u))
 
-    def rows(u):
-        out_row = shortest_paths(g, u, FORWARD)
-        # Source reads only the out-row; on an undirected graph the in-row is
-        # the out-row.
-        if variant == SOURCE or g.undirected:
-            return out_row, out_row
-        return out_row, shortest_paths(g, u, BACKWARD)
 
-    return _report_with_witness(variant, ecc, rows)
+def _rows(g, variant, u):
+    """u's out-row d(u -> .) and in-row d(. -> u) by one shortest-path run
+    each way.  Source reads only the out-row; on an undirected graph the
+    in-row is the out-row."""
+    out_row = shortest_paths(g, u, FORWARD)
+    if variant == SOURCE or g.undirected:
+        return out_row, out_row
+    return out_row, shortest_paths(g, u, BACKWARD)
+
+
+def exact_source_ecc(g, variant, sources):
+    """(ecc, near) for a list of distinct source vertices, one shortest-path
+    run each way per source: ecc[i] is the eccentricity of sources[i] under
+    the variant, and near[v] the least pair distance from a source to v (INF
+    for every v when there is no source)."""
+    check_variant(g, variant)
+    ecc = []
+    near = [INF] * g.n
+    for s in sources:
+        row = list(pair_row(variant, *_rows(g, variant, s)))
+        ecc.append(max(row))
+        # A comparison per entry costs a third of a call to the builtin min.
+        near = [d if d < e else e for d, e in zip(row, near)]
+    return ecc, near
+
+
+def sweep_source_ecc(g, variant, sources, cap=DEFAULT_CAP, budget=None):
+    """``exact_source_ecc`` from one level sweep seeded at the sources, or
+    None: for ``roundtrip``, when the largest weight exceeds
+    SWEEP_MAX_WEIGHT, or once the sweep's work passes ``budget``.
+
+    Source i has bit i.  Over the reversed arcs, entry v of level t holds the
+    i with d(s_i -> v) <= t; over the forward arcs, the i with
+    d(v -> s_i) <= t; max and min join the two as in ``sweep_ecc``.  ecc[i]
+    is the first t at which bit i is set in every joined mask, near[v] the
+    first t at which v's mask is not empty, and INF where that never comes.
+    The work counts the masks found not full, as in ``sweep_ecc``, and the
+    default budget is the same share of the reference's len(sources) runs:
+    len(sources) * n / 4.
+    """
+    check_variant(g, variant)
+    setup = _sweep_setup(g, cap, budget, len(sources))
+    if variant == ROUNDTRIP or setup is None:
+        return None
+    weight, budget = setup
+    n = g.n
+    start = [0] * n
+    for i, s in enumerate(sources):
+        start[s] = 1 << i
+    full = (1 << len(sources)) - 1
+    levels = _joined_levels(g, variant, weight, g.adj_in, g.adj_out, start)
+    ecc = [INF] * len(sources)
+    near = [INF] * n
+    pending = range(n)
+    unseen = range(n)
+    common = 0
+    work = 0
+    for t, (masks, settled) in enumerate(levels):
+        left = []
+        for v in unseen:
+            if masks[v]:
+                near[v] = t
+            else:
+                left.append(v)
+        unseen = left
+        pending = [v for v in pending if masks[v] != full]
+        # Bits enter the AND of all masks for good, since masks only grow.
+        new = reduce(and_, map(masks.__getitem__, pending), full) & ~common
+        common |= new
+        while new:
+            low = new & -new
+            ecc[low.bit_length() - 1] = t
+            new ^= low
+        if not pending or settled:
+            return ecc, near
+        work += len(pending)
+        if work > budget:
+            return None
 
 
 def sweep_median(g, cap=DEFAULT_CAP, budget=None):
@@ -375,7 +463,7 @@ def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     The distance sum of u is the total over levels t of the vertices not yet
     within distance t, n - popcount(F_t[u]), and INF if F_t[u] never fills.
     """
-    setup = _sweep_setup(g, cap, budget)
+    setup = _sweep_setup(g, cap, budget, g.n)
     if setup is None:
         return None
     weight, budget = setup

@@ -115,6 +115,18 @@ def random_dag(rng, n, m, max_weight=1):
     return Graph(n, edges, undirected=False)
 
 
+def mixed_graph(rng, max_n, max_weight):
+    """A graph on 1..max_n vertices, directed or undirected, with weights
+    0..max_weight (all 1 when max_weight is 1), and a spanning cycle about
+    half the time, so that both finite and INF eccentricities occur."""
+    n = rng.randint(1, max_n)
+    weight = (lambda: 1) if max_weight == 1 else (lambda: rng.randint(0, max_weight))
+    edges = [(rng.randrange(n), rng.randrange(n), weight()) for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.5:
+        edges += [(i, (i + 1) % n, weight()) for i in range(n)]
+    return Graph(n, edges, undirected=rng.random() < 0.3)
+
+
 def all_small_digraphs(max_n):
     """Every simple digraph on up to max_n vertices (unit weights)."""
     for n in range(1, max_n + 1):

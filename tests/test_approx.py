@@ -1,8 +1,15 @@
+import math
 import random
 
 import pytest
 
-from conftest import all_small_digraphs, random_dag, random_digraph, reference_eccentricities
+from conftest import (
+    all_small_digraphs,
+    mixed_graph,
+    random_dag,
+    random_digraph,
+    reference_eccentricities,
+)
 from ecclab.approx import (
     approx_min_diameter,
     approx_min_diameter_dag,
@@ -12,8 +19,17 @@ from ecclab.approx import (
     finite_min_eccentricities,
     trivial_metric_estimate,
 )
-from ecclab.graph import INF, Graph, relabel_topological
-from ecclab.oracle import exact_eccentricities
+from ecclab.graph import (
+    BACKWARD,
+    FORWARD,
+    INF,
+    Graph,
+    relabel_topological,
+    sample_vertex_set,
+    shortest_paths,
+    truncated_shortest_paths,
+)
+from ecclab.oracle import SWEEP_MAX_WEIGHT, exact_eccentricities, sweep_source_ecc
 from ecclab.seeds import substream
 
 
@@ -24,14 +40,89 @@ def test_source_radius_two_approx_random():
         rep = exact_eccentricities(g, "source")
         res = approx_source_radius(g, substream(seed, "t"))
         assert res.estimate >= rep.radius  # deterministic direction
-        if res.estimate != INF:
-            assert res.estimate == rep.ecc[res.witness]
+        assert res.estimate == rep.ecc[res.witness]
+
+
+def test_source_radius_witness_when_no_vertex_reaches_all():
+    # Every eccentricity is INF; the witness is the first sampled vertex.
+    res = approx_source_radius(Graph(4, [(0, 1), (2, 3)]), random.Random(0))
+    assert (res.estimate, res.witness) == (INF, 0)
 
 
 def test_source_radius_exact_on_star():
     g = Graph(6, [(0, i) for i in range(1, 6)])
     res = approx_source_radius(g, random.Random(0))
     assert res.estimate == 1 and res.witness == 0
+
+
+# -- the sampled searches against one shortest-path run per sampled vertex ----
+
+
+def _loop_source_radius(g, rng, c=2):
+    n = g.n
+    size1 = min(n, max(1, math.ceil(c * math.sqrt(n) * math.log(n)))) if n > 1 else 1
+    s1 = sample_vertex_set(n, size1, rng)
+    dists = {s: shortest_paths(g, s, FORWARD) for s in sorted(s1)}
+    w, w_score = 0, -1
+    for v in range(n):
+        score = min(dists[s][v] for s in dists)
+        if score > w_score:
+            w, w_score = v, score
+    s2 = [v for v, _ in truncated_shortest_paths(g, w, math.ceil(math.sqrt(n)), BACKWARD)]
+    best_v, best_e = None, INF
+    for s in sorted(set(dists) | set(s2)):
+        dist = dists.get(s) or shortest_paths(g, s, FORWARD)
+        e = max(dist)
+        if best_v is None or e < best_e:
+            best_v, best_e = s, e
+    return best_e, best_v
+
+
+def _loop_min_diameter(g, rng, epsilon, c=2):
+    n = g.n
+    size = min(n, max(1, math.ceil(c * n ** (1 - epsilon) * math.log(max(n, 2)))))
+    est = 1 if g.has_edge() else 0
+    witness = None
+    for s in sorted(sample_vertex_set(n, size, rng)):
+        fwd = shortest_paths(g, s, FORWARD)
+        bwd = shortest_paths(g, s, BACKWARD)
+        for v in range(n):
+            d = min(fwd[v], bwd[v])
+            if d > est:
+                est, witness = d, v
+    return est, witness
+
+
+def _check_against_loops(g, seed):
+    res = approx_source_radius(g, random.Random(seed))
+    assert (res.estimate, res.witness) == _loop_source_radius(g, random.Random(seed)), g.edges
+    if g.unit_weights:
+        for eps in (0.3, 1):
+            res = approx_min_diameter(g, random.Random(seed), eps)
+            assert (res.estimate, res.witness) == \
+                _loop_min_diameter(g, random.Random(seed), eps), g.edges
+
+
+def test_sampled_searches_match_one_run_per_sample():
+    # Zero-weight arcs, disconnected and undirected graphs, n = 1 and W up to
+    # 16; the graphs with max_weight 1 are unweighted for min-diameter.
+    rng = random.Random(5)
+    for seed, max_weight in enumerate((1, 1, 2, 16) * 50):
+        _check_against_loops(mixed_graph(rng, 40, max_weight), seed)
+    _check_against_loops(Graph(1), 0)
+
+
+def test_sampled_searches_fall_back_past_the_sweep():
+    # A weight above SWEEP_MAX_WEIGHT, and a directed path long enough that
+    # the sweep passes its default budget.
+    heavy = Graph(30, [(i, (i + 1) % 30, 1 + i % (SWEEP_MAX_WEIGHT + 1)) for i in range(30)])
+    assert sweep_source_ecc(heavy, "source", [0], None) is None
+    path = Graph(200, [(i, i + 1) for i in range(199)])
+    assert sweep_source_ecc(path, "source", [0, 50, 150], None) is None
+    assert sweep_source_ecc(path, "min", [0, 50, 150], None) is None
+    for seed in range(3):
+        _check_against_loops(heavy, seed)
+        _check_against_loops(path, seed)
 
 
 def test_min_diameter_dag_two_approx():

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     floyd_warshall,
+    mixed_graph,
     random_digraph,
     random_undirected,
     reference_eccentricities,
     reference_report,
+    variant_pair,
 )
 from ecclab.graph import INF, Graph
 from ecclab.oracle import (
@@ -20,10 +22,12 @@ from ecclab.oracle import (
     VariantError,
     exact_eccentricities,
     exact_median,
+    exact_source_ecc,
     pair_distance,
     sweep_ecc,
     sweep_eccentricities,
     sweep_median,
+    sweep_source_ecc,
 )
 
 
@@ -333,3 +337,56 @@ def test_sweep_capacity_and_variant_checks():
         sweep_median(g, cap=5)
     with pytest.raises(VariantError):
         sweep_eccentricities(Graph(2, [(0, 1)]), "undirected")
+
+
+# -- the level sweep seeded at sampled sources -------------------------------
+
+
+def test_source_sweep_matches_reference():
+    # Every sample size 1..n, in no particular order; zero-weight arcs,
+    # disconnected and undirected graphs, n = 1 and W up to 16.
+    rng = random.Random(11)
+    for max_weight in (1, 2, 3, 16) * 40:
+        g = mixed_graph(rng, 12, max_weight)
+        dist = floyd_warshall(g)
+        for variant in _variants(g):
+            for k in range(1, g.n + 1):
+                sources = rng.sample(range(g.n), k)
+                want = exact_source_ecc(g, variant, sources)
+                rows = [[variant_pair(variant, dist[s][v], dist[v][s]) for v in range(g.n)]
+                        for s in sources]
+                assert want == ([max(r) for r in rows], [min(col) for col in zip(*rows)])
+                got = sweep_source_ecc(g, variant, sources, budget=INF)
+                assert got == (None if variant == "roundtrip" else want), (g.edges, variant, sources)
+
+
+def test_source_sweep_fixed_values():
+    cycle = SWEEP_CASES[0]
+    assert sweep_source_ecc(cycle, "source", [3, 0], budget=INF) == ([INF, 2], [0, 0, 0, 0])
+    assert sweep_source_ecc(cycle, "min", [3], budget=INF) == ([2], [2, 2, 2, 0])
+    path = SWEEP_CASES[5]
+    assert sweep_source_ecc(path, "undirected", [1, 2], budget=INF) == ([10, 6], [1, 0, 0, 5])
+    assert sweep_source_ecc(path, "source", [], budget=INF) == ([], [INF] * 4)
+    assert sweep_source_ecc(Graph(1), "min", [0]) == ([0], [0])
+    heavy = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT + 1), (1, 0, 1)])
+    assert sweep_source_ecc(heavy, "source", [0], budget=INF) is None
+    with pytest.raises(CapacityError):
+        sweep_source_ecc(Graph(10, []), "source", [0], cap=5)
+
+
+def test_source_sweep_gives_up_past_its_work_budget():
+    # From vertex 0 of a path of 10 vertices the masks still to fill number
+    # 9, 8, ..., 1 at levels 0 to 8: 45 in all, past the default budget
+    # 1 * 10 // 4.
+    path = Graph(10, [(i, i + 1, 1) for i in range(9)], undirected=True)
+    answer = ([9], list(range(10)))
+    assert sweep_source_ecc(path, "undirected", [0]) is None
+    assert sweep_source_ecc(path, "undirected", [0], budget=44) is None
+    assert sweep_source_ecc(path, "undirected", [0], budget=45) == answer
+    assert exact_source_ecc(path, "undirected", [0]) == answer
+    # Masks that never fill count until the sweep settles.  From 2 and 0 on
+    # the directed path 0 -> 1 -> 2 -> 3, the masks of 0 and 1 never hold 2:
+    # 4 + 4 + 3 + 2 masks at levels 0 to 3, then level 4 brings no change.
+    line = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    assert sweep_source_ecc(line, "source", [2, 0], budget=12) is None
+    assert sweep_source_ecc(line, "source", [2, 0], budget=13) == ([INF, 3], [0, 1, 0, 1])
