@@ -32,9 +32,8 @@ from .oracle import (
     SOURCE,
     UNDIRECTED,
     check_variant,
-    exact_source_ecc,
     pair_row,
-    sweep_source_ecc,
+    sampled_ecc,
 )
 
 
@@ -44,13 +43,6 @@ class ApproxResult:
     witness: "int | None"
     guarantee: "tuple[Fraction, Fraction]"
     whp: bool
-
-
-def _sampled_ecc(g, variant, sources):
-    """(ecc, near) of ``oracle.exact_source_ecc`` for the sampled sources:
-    one level sweep with a bit per source, or one shortest-path run each way
-    per source where the sweep gives up."""
-    return sweep_source_ecc(g, variant, sources, None) or exact_source_ecc(g, variant, sources)
 
 
 def approx_source_radius(g, rng, c=2):
@@ -65,13 +57,13 @@ def approx_source_radius(g, rng, c=2):
         raise ValueError("empty graph")
     size1 = min(n, max(1, math.ceil(c * math.sqrt(n) * math.log(n)))) if n > 1 else 1
     s1 = sorted(sample_vertex_set(n, size1, rng))
-    ecc1, near = _sampled_ecc(g, SOURCE, s1)
+    ecc1, near = sampled_ecc(g, SOURCE, s1)
 
     # w maximizes its distance to the sample (covered worst vertex).
     w = near.index(max(near))
     size2 = math.ceil(math.sqrt(n))
     s2 = sorted({v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)}.difference(s1))
-    ecc2, _ = _sampled_ecc(g, SOURCE, s2)
+    ecc2, _ = sampled_ecc(g, SOURCE, s2)
 
     best, witness = min(zip(ecc1 + ecc2, s1 + s2))
     return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
@@ -92,7 +84,7 @@ def approx_min_diameter(g, rng, epsilon, c=2):
         raise ValueError("empty graph")
     size = min(n, max(1, math.ceil(c * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
     sample = sorted(sample_vertex_set(n, size, rng))
-    ecc, _ = _sampled_ecc(g, MIN, sample)
+    ecc, _ = sampled_ecc(g, MIN, sample)
     est = 1 if g.has_edge() else 0
     witness = None
     # The witness is the first vertex at the largest distance from the first

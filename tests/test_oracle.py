@@ -24,6 +24,7 @@ from ecclab.oracle import (
     exact_median,
     exact_source_ecc,
     pair_distance,
+    sampled_ecc,
     sweep_ecc,
     sweep_eccentricities,
     sweep_median,
@@ -370,8 +371,9 @@ def test_source_sweep_fixed_values():
     assert sweep_source_ecc(Graph(1), "min", [0]) == ([0], [0])
     heavy = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT + 1), (1, 0, 1)])
     assert sweep_source_ecc(heavy, "source", [0], budget=INF) is None
-    with pytest.raises(CapacityError):
-        sweep_source_ecc(Graph(10, []), "source", [0], cap=5)
+    # The masks hold a bit per source, so no cap on n applies.
+    star = Graph(6000, [(0, v, 1) for v in range(1, 6000)], undirected=True)
+    assert sweep_source_ecc(star, "undirected", [0], budget=INF) == ([1], [0] + [1] * 5999)
 
 
 def test_source_sweep_gives_up_past_its_work_budget():
@@ -384,6 +386,7 @@ def test_source_sweep_gives_up_past_its_work_budget():
     assert sweep_source_ecc(path, "undirected", [0], budget=44) is None
     assert sweep_source_ecc(path, "undirected", [0], budget=45) == answer
     assert exact_source_ecc(path, "undirected", [0]) == answer
+    assert sampled_ecc(path, "undirected", [0]) == answer
     # Masks that never fill count until the sweep settles.  From 2 and 0 on
     # the directed path 0 -> 1 -> 2 -> 3, the masks of 0 and 1 never hold 2:
     # 4 + 4 + 3 + 2 masks at levels 0 to 3, then level 4 brings no change.
