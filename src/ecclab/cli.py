@@ -249,6 +249,8 @@ def cmd_tw(args):
 
 
 def cmd_reduce(args):
+    if args.rounds < 1:
+        raise SystemExit2(f"--rounds must be at least 1 (got {args.rounds})")
     g = _load_graph(args)
     rng = substream(args.seed, "reduce")
     res = reduce_decision23_to_set_system(

@@ -10,23 +10,28 @@ undirected) or of its row paired with its column (max, min, roundtrip)
 under the variant's pair combiner, done by the builtins ``max``, ``map`` and
 ``sum`` with no Python-level loop per pair.
 
-The level sweep (``sweep_ecc``, ``sweep_eccentricities``, ``sweep_median``)
-is the fast path on graphs whose weighted diameter is small against n.  It
-grows, one distance level at a time, the bitmask of the vertices
-within distance t of every vertex, at once for all vertices and in O(m)
-ORs of n-bit ints per level, as in the bit-parallel BFS of Akiba, Iwata and
-Yoshida (SIGMOD 2013).  It holds the last W + 1 levels, where W is the
-largest arc weight: (W + 1) n^2 / 8 bytes, twice that for max and min.  It
-returns None, for the caller to fall back to the matrix path, on
-``roundtrip`` (not a threshold of the two one-way masks), when W exceeds
-``SWEEP_MAX_WEIGHT``, and once its work passes a budget set against the
-matrix path's (see ``sweep_ecc``).  ``ecclab exact``, ``ecclab verify`` and
-the treewidth solver's base cases try it first.
+The level sweep is the fast path on graphs whose weighted diameter is small
+against n.  It grows, one distance level at a time, a bitmask per vertex, at
+once for all vertices and in O(m) ORs of bitmasks per level, as in the
+bit-parallel BFS of Akiba, Iwata and Yoshida (SIGMOD 2013).  One sweep,
+``sweep_source_ecc``, gives the eccentricities: seeded with one bit per
+source, entry v of level t holds the sources within pair distance t of v
+(the sweep over the reversed arcs, joined for max by AND and for min by OR
+with the one over the forward arcs), and the eccentricity of source u is
+the first level at which bit u is in every joined mask.  ``sweep_ecc`` and
+``sweep_eccentricities`` seed it at every vertex; ``sampled_ecc`` seeds it
+at the samples of ``approx`` and falls back to ``exact_source_ecc``, the
+row-by-row reference.  ``sweep_median`` runs the sweep over the forward arcs
+from every vertex and reads rows: F_t[u], the v with d(u -> v) <= t, and
+the distance sum of u is the total over t of n - popcount(F_t[u]).
 
-Seeded with one bit per vertex of a sample instead of one per vertex, the
-same sweep answers the sampled searches of ``approx`` through
-``sampled_ecc``, which tries ``sweep_source_ecc`` and falls back to
-``exact_source_ecc``, the row-by-row reference.
+The sweep holds the last W + 1 levels, where W is the largest arc weight:
+(W + 1) n k / 8 bytes for k sources, twice that for max and min.  It
+returns None, for the caller to fall back to a matrix or row-by-row path,
+on ``roundtrip`` (not a threshold of the two one-way masks), when W exceeds
+``SWEEP_MAX_WEIGHT``, and once its work passes a budget set against the
+reference's (see ``sweep_source_ecc``).  ``ecclab exact``, ``ecclab verify``
+and the treewidth solver's base cases try it first.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ DEFAULT_CAP = 5000
 # and min, where the matrix path holds one 64-bit reference per pair.  On a
 # directed 3-tree of 3,000 vertices under max, the sweep peaked at 51 MB for
 # W = 16 and 92 MB for W = 31, the matrix path at 69 MB.  Time is bounded
-# separately, by the work budget of ``sweep_ecc``.
+# separately, by the work budget of ``sweep_source_ecc``.
 SWEEP_MAX_WEIGHT = 16
 
 
@@ -304,65 +309,13 @@ def _sweep_setup(g, budget, rows):
     return weight, rows * g.n // 4 if budget is None else budget
 
 
-def _joined_levels(g, variant, weight, arcs, other, start=None):
-    """``_levels`` over ``arcs``, joined for max and min with the same sweep
-    over ``other``, the reversed arcs: an entry of the join is the AND (max)
-    or OR (min) of the two.  On an undirected graph both are one sweep."""
-    levels = _levels(g.n, arcs, weight, start)
-    if variant in (MAX, MIN) and not g.undirected:
-        join = and_ if variant == MAX else or_
-        levels = (
-            (list(map(join, f, b)), f_settled and b_settled)
-            for (f, f_settled), (b, b_settled) in zip(levels, _levels(g.n, other, weight, start))
-        )
-    return levels
-
-
 def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
     """The eccentricities of ``exact_eccentricities`` from the level sweep,
-    or None: for ``roundtrip``, when the largest weight exceeds
-    SWEEP_MAX_WEIGHT, or once the sweep's work passes ``budget``.
-
-    ecc(u) is the first t at which u's mask is full: F_t[u] for source and
-    undirected, F_t[u] & B_t[u] for max and F_t[u] | B_t[u] for min, where
-    B_t[u], the v with d(v -> u) <= t, is the same sweep over the reversed
-    arcs run in lockstep.  A mask that never fills gives INF.
-
-    The work is the number of masks found not full, summed over the levels;
-    a level does its ORs only for those.  Measured on paths, cycles,
-    directed paths and chains of triangles of 1,000 and 2,500 vertices, one
-    such mask cost 1.5 to 4.6 vertex visits of a single-source run, and the
-    matrix path makes n^2 visits.  So the default budget, n^2 / 4, gives up
-    about where the sweep stops being the cheaper path; on those graphs, and
-    on paths and cycles of 5,000 vertices, the sweep that gave up and the
-    matrix path together took 1.3 to 2.2 times the matrix path alone.
-    Random 3-trees of 1,000 and 2,500 vertices needed under n^2 / 30.
-    """
+    or None where ``sweep_source_ecc`` seeded at every vertex is None."""
     check_variant(g, variant)
     _check_cap(g, cap)
-    setup = _sweep_setup(g, budget, g.n)
-    if variant == ROUNDTRIP or setup is None:
-        return None
-    weight, budget = setup
-    n = g.n
-    full = (1 << n) - 1
-    levels = _joined_levels(g, variant, weight, g.adj_out, g.adj_in)
-    ecc = [INF] * n
-    pending = range(n)
-    work = 0
-    for t, (masks, settled) in enumerate(levels):
-        left = []
-        for u in pending:
-            if masks[u] == full:
-                ecc[u] = t
-            else:
-                left.append(u)
-        pending = left
-        if not pending or settled:
-            return ecc
-        work += len(pending)
-        if work > budget:
-            return None
+    swept = sweep_source_ecc(g, variant, range(g.n), budget)
+    return None if swept is None else swept[0]
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -409,15 +362,25 @@ def sweep_source_ecc(g, variant, sources, budget=None):
 
     Source i has bit i.  Over the reversed arcs, entry v of level t holds the
     i with d(s_i -> v) <= t; over the forward arcs, the i with
-    d(v -> s_i) <= t; max and min join the two as in ``sweep_ecc``.  ecc[i]
+    d(v -> s_i) <= t.  Max joins the two by AND and min by OR, so an entry
+    of the join holds the i whose pair distance to v is at most t.  ecc[i]
     is the first t at which bit i is set in every joined mask, near[v] the
     first t at which v's mask is not empty, and INF where that never comes.
-    The work counts the masks found not full, as in ``sweep_ecc``, and the
-    default budget is the same share of the reference's len(sources) runs:
-    len(sources) * n / 4.  Measured through ``sampled_ecc`` on directed
-    paths of 1,000, 2,000 and 10,000 vertices (up to 1,843 sources), the
-    sweep that gave up and the fallback together took 0.9 to 1.7 times the
-    reference alone.
+
+    The work is the number of masks found not full, summed over the levels;
+    a level does its ORs only for those.  The default budget is
+    len(sources) * n / 4, a quarter of the len(sources) single-source runs
+    of the reference, n^2 / 4 when every vertex is a source.  Measured with
+    every vertex a source on paths, cycles, directed paths and chains of
+    triangles of 1,000 and 2,500 vertices, one such mask cost 1.5 to 4.6
+    vertex visits of a single-source run, so the budget gives up about
+    where the sweep stops being the cheaper path; on those graphs, and on
+    paths and cycles of 5,000 vertices, the sweep that gave up and the
+    matrix path together took 1.3 to 2.2 times the matrix path alone.
+    Random 3-trees of 1,000 and 2,500 vertices needed under n^2 / 30.
+    Measured through ``sampled_ecc`` on directed paths of 1,000, 2,000 and
+    10,000 vertices (up to 1,843 sources), the sweep that gave up and the
+    fallback together took 0.9 to 1.7 times the reference alone.
     """
     check_variant(g, variant)
     setup = _sweep_setup(g, budget, len(sources))
@@ -429,7 +392,14 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     for i, s in enumerate(sources):
         start[s] = 1 << i
     full = (1 << len(sources)) - 1
-    levels = _joined_levels(g, variant, weight, g.adj_in, g.adj_out, start)
+    levels = _levels(n, g.adj_in, weight, start)
+    # On an undirected graph the sweeps over both arc directions are one.
+    if variant in (MAX, MIN) and not g.undirected:
+        join = and_ if variant == MAX else or_
+        levels = (
+            (list(map(join, f, b)), f_settled and b_settled)
+            for (f, f_settled), (b, b_settled) in zip(levels, _levels(n, g.adj_out, weight, start))
+        )
     ecc = [INF] * len(sources)
     near = [INF] * n
     pending = range(n)
@@ -468,7 +438,7 @@ def sampled_ecc(g, variant, sources):
 def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     """``exact_median`` from the level sweep, or None when the largest weight
     exceeds SWEEP_MAX_WEIGHT or the work passes ``budget``, as in
-    ``sweep_ecc``.
+    ``sweep_source_ecc``.
 
     The distance sum of u is the total over levels t of the vertices not yet
     within distance t, n - popcount(F_t[u]), and INF if F_t[u] never fills.

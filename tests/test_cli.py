@@ -174,10 +174,15 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
      ["approx", "--input", "g.graph", "--algorithm", "min-diameter"]),
     ({"g.graph": GOOD_GRAPH},
      ["approx", "--input", "g.graph", "--algorithm", "min-diameter", "--epsilon", "0"]),
+    ({"g.graph": GOOD_GRAPH},
+     ["reduce", "--input", "g.graph", "--target", "diameter", "--rounds", "0"]),
+    ({"g.graph": GOOD_GRAPH},
+     ["reduce", "--input", "g.graph", "--target", "radius", "--rounds", "-1"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "graph-self-loop-weight", "td-edge-extra-field", "approx-dag-cycle",
-        "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero"])
+        "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero", "reduce-rounds-zero",
+        "reduce-rounds-negative"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -317,10 +317,16 @@ def test_sweep_gives_up_past_its_work_budget():
         reference_report(path, "undirected").to_json()
     assert sweep_median(path, budget=70) == _median_reference(path)
     # Masks that never fill count until the sweep settles, W = 2 unchanged
-    # levels after the last change at level 3: 12 + 12 + 12 + 11 + 11.
+    # levels after the last change at level 3, so at levels 0 to 4.  Under
+    # source the masks are columns, entry v the vertices that reach v, and no
+    # vertex is reached by all: 12 * 5.
     tail = Graph(12, [(0, i, 1) for i in range(1, 10)] + [(10, 11, 2), (0, 10, 1)])
-    assert sweep_ecc(tail, "source", budget=57) is None
-    assert sweep_ecc(tail, "source", budget=58) == [3] + [INF] * 11
+    assert sweep_ecc(tail, "source", budget=59) is None
+    assert sweep_ecc(tail, "source", budget=60) == [3] + [INF] * 11
+    # Under min the joined masks are symmetric, so a column is a row: vertex
+    # 0's fills at level 3, 12 + 12 + 12 + 11 + 11.
+    assert sweep_ecc(tail, "min", budget=57) is None
+    assert sweep_ecc(tail, "min", budget=58) == [3] + [INF] * 11
     # 10 + 9 masks on a star, within the default budget; 5 * 10 on a cycle,
     # past it.
     star = Graph(10, [(0, i, 1) for i in range(1, 10)], undirected=True)

@@ -135,11 +135,11 @@ def test_portal_split_separates():
             raise AssertionError(f"edge ({u},{v}) crosses the split")
 
 
-def connected_ktree(seed, variant):
-    """A k=3 k-tree on 200 vertices; for the directed variants both arcs of
-    every edge, each with its own weight in 1..3.  Every distance is finite."""
+def connected_ktree(seed, variant, n=200, k=3):
+    """A k-tree on n vertices; for the directed variants both arcs of every
+    edge, each with its own weight in 1..3.  Every distance is finite."""
     rng = substream(seed, f"tw-connected:{variant}")
-    g, td = generate_partial_ktree(200, 3, 1.0, rng)
+    g, td = generate_partial_ktree(n, k, 1.0, rng)
     if variant != "undirected":
         arcs = [(x, y, rng.randint(1, 3)) for u, v, _ in g.edges for x, y in ((u, v), (v, u))]
         g = Graph(g.n, arcs)
@@ -227,6 +227,30 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     assert rep.radius != INF
     assert len(swept) >= 2
     assert swept == [variant != "roundtrip"] * len(swept)
+
+
+def test_tw_recurses_below_the_top_split(monkeypatch):
+    # The sides of the top split are themselves split, and theirs again.
+    depth = [0]
+    deepest = [0]
+    solve = treewidth._solve
+
+    def nested_solve(g, td, variant):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return solve(g, td, variant)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(treewidth, "_solve", nested_solve)
+    # The 4-tree is undirected for "undirected" and directed for the rest.
+    cases = [(variant, connected_ktree(0, variant, n=300, k=4)) for variant in VARIANTS]
+    cases.append(("min", connected_ktree(0, "min")))
+    for variant, (g, td) in cases:
+        deepest[0] = 0
+        assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+        assert deepest[0] >= 3, (g.n, variant, deepest[0])
 
 
 def variants_of(g):
