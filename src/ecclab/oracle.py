@@ -25,13 +25,20 @@ row-by-row reference.  ``sweep_median`` runs the sweep over the forward arcs
 from every vertex and reads rows: F_t[u], the v with d(u -> v) <= t, and
 the distance sum of u is the total over t of n - popcount(F_t[u]).
 
+Roundtrip is not a threshold of the two one-way masks, so ``sweep_ecc``
+keeps every level of both directions instead: with F_t[u] the v with
+d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, the eccentricity of u
+is the first r at which OR over t of F_t[u] & B_{r-t}[u] is full.
+
 The sweep holds the last W + 1 levels, where W is the largest arc weight:
-(W + 1) n k / 8 bytes for k sources, twice that for max and min.  It
-returns None, for the caller to fall back to a matrix or row-by-row path,
-on ``roundtrip`` (not a threshold of the two one-way masks), when W exceeds
-``SWEEP_MAX_WEIGHT``, and once its work passes a budget set against the
-reference's (see ``sweep_source_ecc``).  ``ecclab exact``, ``ecclab verify``
-and the treewidth solver's base cases try it first.
+(W + 1) n k / 8 bytes for k sources, twice that for max and min; the
+roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
+``ROUNDTRIP_MAX_LEVELS``.  It returns None, for the caller to fall back to
+a matrix or row-by-row path, when W exceeds ``SWEEP_MAX_WEIGHT``, past the
+roundtrip level bound, for ``roundtrip`` from sampled sources, and once its
+work passes a budget set against the reference's (see ``sweep_source_ecc``
+and ``_roundtrip_ecc``).  ``ecclab exact``, ``ecclab verify`` and the
+treewidth solver's base cases try it first.
 """
 
 from __future__ import annotations
@@ -105,8 +112,13 @@ def pair_distance(variant, d_uv, d_vu):
 
 
 def pair_row(variant, out_row, in_row):
-    """The variant's pair distances from a vertex u to every v, lazily, given
-    out_row[v] = d(u -> v) and in_row[v] = d(v -> u)."""
+    """The variant's pair distances from a vertex u to every v, as an iterable,
+    given out_row[v] = d(u -> v) and in_row[v] = d(v -> u)."""
+    # A comparison per pair costs a third of a call to the builtin max or min.
+    if variant == MAX:
+        return [x if x > y else y for x, y in zip(out_row, in_row)]
+    if variant == MIN:
+        return [x if x < y else y for x, y in zip(out_row, in_row)]
     op = PAIR_COMBINERS[variant]
     return out_row if op is _forward else map(op, out_row, in_row)
 
@@ -212,12 +224,11 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     """
     check_variant(g, variant)
     mat = all_pairs(g, cap)
-    op = PAIR_COMBINERS[variant]
-    if op is _forward:
+    if PAIR_COMBINERS[variant] is _forward:
         ecc = [max(row) for row in mat]
     else:
         # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
-        ecc = [max(map(op, row, col)) for row, col in zip(mat, zip(*mat))]
+        ecc = [max(pair_row(variant, row, col)) for row, col in zip(mat, zip(*mat))]
     return _report_with_witness(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
 
 
@@ -311,11 +322,120 @@ def _sweep_setup(g, budget, rows):
 
 def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
     """The eccentricities of ``exact_eccentricities`` from the level sweep,
-    or None where ``sweep_source_ecc`` seeded at every vertex is None."""
+    or None where ``sweep_source_ecc`` seeded at every vertex is None, or,
+    for ``roundtrip``, where ``_roundtrip_ecc`` is None."""
     check_variant(g, variant)
     _check_cap(g, cap)
+    if variant == ROUNDTRIP:
+        return _roundtrip_ecc(g, budget)
     swept = sweep_source_ecc(g, variant, range(g.n), budget)
     return None if swept is None else swept[0]
+
+
+def _fill(pending, masks, full, ecc, t):
+    """The pending vertices whose mask is not full; ecc[v] = t for the rest."""
+    left = []
+    for v in pending:
+        if masks[v] == full:
+            ecc[v] = t
+        else:
+            left.append(v)
+    return left
+
+
+# Most levels the roundtrip sweep keeps, over both directions: 64 levels of
+# n^2 bits take the 8 bytes per vertex pair of the matrix path.  Each mask
+# is an int object of about 36 bytes more, which counts at small n: on
+# cycles with both arcs, run to the bound, the sweep peaked under tracemalloc
+# at 1.31 MB against the matrix path's 0.81 MB at n = 300, and at 7.6
+# against 23.9 MB at n = 1,000, where distances past 256 are int objects of
+# their own.  The benchmark's roundtrip graphs (216 to 343 vertices) keep 6
+# to 26 levels and peak below the matrix path.
+ROUNDTRIP_MAX_LEVELS = 64
+
+
+def _kept_levels(n, adj, weight):
+    """Yield, for t = 0, 1, 2, ..., the levels [F_0, ..., F_t] of
+    ``_levels(n, adj, weight)`` until they settle, and from then on
+    [F_0, ..., F_L], L the last level that brought a change."""
+    kept = []
+    for level, settled in _levels(n, adj, weight):
+        if settled:
+            # The last `weight` levels kept equal F_L.
+            del kept[len(kept) - weight + 1:]
+            while True:
+                yield kept
+        kept.append(level)
+        yield kept
+
+
+def _roundtrip_ecc(g, budget):
+    """Roundtrip eccentricities from the levels F_t over the forward arcs and
+    B_t over the reversed ones, all kept: F_t[u] holds the v with
+    d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, so ecc(u) is the
+    first r at which OR over t of F_t[u] & B_{r-t}[u] is full.  Past the
+    guard below the graph is strongly connected, so with LF and LB the
+    levels at which the two directions settle, every mask is full by
+    r = LF + LB.
+
+    Returns None when the largest weight exceeds SWEEP_MAX_WEIGHT, when the
+    kept levels pass ROUNDTRIP_MAX_LEVELS, or once the work, the mask ANDs,
+    passes ``budget``, by default n^2.  Run to the end, the sweep cost 0.07
+    to 0.68 times the matrix path on 1-, 2- and 3-trees of 100 to 400
+    vertices with both arcs (weights 1 or 1..3) that needed at most n^2
+    ANDs, and 1.8 to 2.3 times on grids of 100 and 196 vertices with both
+    arcs, the worst family tried, at 3.6 n^2.  The benchmark's directed
+    3-trees of 250 vertices need 0.4 to 0.7 n^2 (seeds 1 to 12).
+
+    One shortest-path run each way from vertex 0 comes first.  If ecc(0) is
+    INF the graph is not strongly connected and every eccentricity is INF.
+    Else vertex 0 stays pending up to r = ecc(0), with the levels of each
+    direction changing up to the largest one-way distance from or to vertex
+    0 at least, so a sweep whose work would pass the budget by then does not
+    start.  The 74 roundtrip base cases of the tw solver on the benchmark's
+    ``tw-ktree`` seed 1 (7 to 60 vertices, eccentricities near n) took 1.9
+    to 2.1 times the matrix path without that guard, for sweeps that gave
+    up and then the matrix path, and 1.3 times with it (4 of them start).
+    """
+    n = g.n
+    setup = _sweep_setup(g, budget, 4 * n)
+    if setup is None:
+        return None
+    if n == 0:
+        return []
+    weight, budget = setup
+    out_row, in_row = _rows(g, ROUNDTRIP, 0)
+    ecc0 = max(map(operator.add, out_row, in_row))
+    if ecc0 == INF:
+        return [INF] * n
+    # Each direction's levels change up to the largest one-way distance.
+    last = max(max(out_row), max(in_row))
+    floor = 0
+    for r in range(ecc0):
+        floor += n * (min(r, last) - max(0, r - last) + 1)
+        if floor > budget:
+            return None
+    full = (1 << n) - 1
+    ecc = [INF] * n
+    pending = range(n)
+    work = 0
+    levels = zip(_kept_levels(n, g.adj_out, weight), _kept_levels(n, g.adj_in, weight))
+    for r, (fwd, bwd) in enumerate(levels):
+        if len(fwd) + len(bwd) > ROUNDTRIP_MAX_LEVELS:
+            return None
+        # F_t for t past the last kept level is the last one, and likewise
+        # B_{r-t}, so only the t from lo to hi add to the join.
+        lo, hi = max(0, r - len(bwd) + 1), min(r, len(fwd) - 1)
+        terms = zip(fwd[lo:hi + 1], reversed(bwd[r - hi:r - lo + 1]))
+        joined = map(and_, *next(terms))
+        for f, b in terms:
+            joined = map(or_, joined, map(and_, f, b))
+        pending = _fill(pending, list(joined), full, ecc, r)
+        if not pending:
+            return ecc
+        work += n * (hi - lo + 1)
+        if work > budget:
+            return None
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -400,6 +520,9 @@ def sweep_source_ecc(g, variant, sources, budget=None):
             (list(map(join, f, b)), f_settled and b_settled)
             for (f, f_settled), (b, b_settled) in zip(levels, _levels(n, g.adj_out, weight, start))
         )
+    # With every vertex a source and a symmetric join, mask v is also the
+    # row of source v, so ecc[v] is the first level at which it is full.
+    by_row = sources == range(n) and (variant != SOURCE or g.undirected)
     ecc = [INF] * len(sources)
     near = [INF] * n
     pending = range(n)
@@ -414,14 +537,17 @@ def sweep_source_ecc(g, variant, sources, budget=None):
             else:
                 left.append(v)
         unseen = left
-        pending = [v for v in pending if masks[v] != full]
-        # Bits enter the AND of all masks for good, since masks only grow.
-        new = reduce(and_, map(masks.__getitem__, pending), full) & ~common
-        common |= new
-        while new:
-            low = new & -new
-            ecc[low.bit_length() - 1] = t
-            new ^= low
+        if by_row:
+            pending = _fill(pending, masks, full, ecc, t)
+        else:
+            pending = [v for v in pending if masks[v] != full]
+            # Bits enter the AND of all masks for good, since masks only grow.
+            new = reduce(and_, map(masks.__getitem__, pending), full) & ~common
+            common |= new
+            while new:
+                low = new & -new
+                ecc[low.bit_length() - 1] = t
+                new ^= low
         if not pending or settled:
             return ecc, near
         work += len(pending)

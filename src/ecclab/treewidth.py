@@ -108,7 +108,10 @@ class TreeDecomposition:
             for v in b:
                 where[v].append(bi)
         for u, v, _ in g.edges:
-            if not any(v in self.bags[bi] for bi in where[u]):
+            # Scan the bags of whichever end lies in fewer: a k-tree's first
+            # vertices lie in thousands.
+            a, b = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
+            if not any(b in self.bags[bi] for bi in where[a]):
                 raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
         # The bags containing v induce a forest of the bag tree, which is one
         # subtree exactly when its tree edges number one less than its bags.

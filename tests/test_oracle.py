@@ -13,8 +13,10 @@ from conftest import (
     reference_report,
     variant_pair,
 )
+from ecclab import oracle
 from ecclab.graph import INF, Graph
 from ecclab.oracle import (
+    ROUNDTRIP_MAX_LEVELS,
     SWEEP_MAX_WEIGHT,
     VARIANTS,
     CapacityError,
@@ -231,8 +233,6 @@ def zero_heavy_graphs(draw):
 @given(zero_heavy_graphs())
 def test_sweep_matches_reference_report(g):
     for variant in _variants(g):
-        if variant == "roundtrip":
-            continue
         rep = sweep_eccentricities(g, variant, None, budget=INF)
         assert rep.to_json() == reference_report(g, variant).to_json()
 
@@ -262,9 +262,8 @@ SWEEP_CASES = [
 @pytest.mark.parametrize("g", SWEEP_CASES)
 def test_sweep_fixed_cases(g):
     for variant in _variants(g):
-        if variant != "roundtrip":
-            assert sweep_eccentricities(g, variant, budget=INF).to_json() == \
-                reference_report(g, variant).to_json()
+        assert sweep_eccentricities(g, variant, budget=INF).to_json() == \
+            reference_report(g, variant).to_json()
     assert sweep_median(g, budget=INF) == _median_reference(g)
 
 
@@ -292,8 +291,10 @@ def test_sweep_fixed_values():
 
 
 def test_sweep_falls_back_on_roundtrip_and_heavy_weights():
+    # Only the sweep over every vertex answers roundtrip, not the sampled one.
     g = Graph(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1)])
-    assert sweep_eccentricities(g, "roundtrip", budget=INF) is None
+    assert sweep_ecc(g, "roundtrip", budget=INF) == [3, 3, 3]
+    assert sweep_source_ecc(g, "roundtrip", [0], budget=INF) is None
     assert sweep_eccentricities(g, "source", budget=INF) is not None
     at_limit = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT), (1, 0, 1)])
     assert sweep_ecc(at_limit, "max", budget=INF) == [SWEEP_MAX_WEIGHT] * 2
@@ -334,6 +335,62 @@ def test_sweep_gives_up_past_its_work_budget():
     cycle = Graph(10, [(i, (i + 1) % 10, 1) for i in range(10)], undirected=True)
     assert sweep_ecc(cycle, "undirected") is None
     assert sweep_ecc(cycle, "undirected", budget=50) == [5] * 10
+
+
+def _never_levels(*args):
+    raise AssertionError("no level should be built")
+
+
+def test_roundtrip_sweep_fixed_values(monkeypatch):
+    # A zero-weight cycle 0 -> 1 -> 2 -> 0 and the way 2 -2-> 3 -1-> 0 back.
+    cycle = Graph(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 2), (3, 0, 1)])
+    assert sweep_ecc(cycle, "roundtrip", budget=INF) == [3] * 4
+    assert sweep_ecc(Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)]), "roundtrip") == [0] * 3
+    assert sweep_ecc(Graph(1), "roundtrip") == [0]
+    # Not strongly connected: every eccentricity is INF, from the two
+    # searches out of vertex 0 alone.
+    monkeypatch.setattr(oracle, "_levels", _never_levels)
+    assert sweep_ecc(Graph(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)]), "roundtrip",
+                     budget=INF) == [INF] * 4
+    assert sweep_ecc(Graph(3, [(1, 0, 1), (1, 2, 1), (2, 1, 1)]), "roundtrip") == [INF] * 3
+
+
+def test_roundtrip_sweep_gives_up_past_its_work_budget(monkeypatch):
+    # A path 2 - 1 - 0 - 3 - 4 with both arcs of every edge.  Vertex 0 stays
+    # pending up to r = ecc(0) = 4, so the sweep does 5 (1 + 2 + 3 + 2) = 40
+    # mask ANDs at least, from the levels up to max d(0 -> v) = max d(v -> 0)
+    # = 2; it does 5 (1 + 2 + 3 + 4 + 5) at r = 0 to 4 and, once the levels
+    # have settled at 4 and W = 1 level later, 5 (4 + 3 + 2) at r = 5 to 7,
+    # 120 in all.  The default budget is 5^2.
+    arms = [(0, 1), (1, 2), (0, 3), (3, 4)]
+    path = Graph(5, [(u, v, 1) for u, v in arms] + [(v, u, 1) for u, v in arms])
+    answer = [4, 6, 8, 6, 8]
+    assert exact_eccentricities(path, "roundtrip").ecc == answer
+    assert sweep_ecc(path, "roundtrip", budget=40) is None
+    assert sweep_ecc(path, "roundtrip", budget=119) is None
+    assert sweep_ecc(path, "roundtrip", budget=120) == answer
+    # At weight 2 the levels settle W = 2 levels after the last change, at 8,
+    # and are cut back to F_0 .. F_8: 5 (1 + 2 + ... + 10) at r = 0 to 9,
+    # then 5 (7 + 6 + 5 + 4 + 3 + 2) at r = 10 to 15, 410 in all.
+    doubled = Graph(5, [(u, v, 2) for u, v, _ in path.edges])
+    assert sweep_ecc(doubled, "roundtrip", budget=409) is None
+    assert sweep_ecc(doubled, "roundtrip", budget=410) == [2 * e for e in answer]
+    # Below the 40 ANDs of vertex 0 alone, the sweep does not start.
+    monkeypatch.setattr(oracle, "_levels", _never_levels)
+    assert sweep_ecc(path, "roundtrip") is None
+    assert sweep_ecc(path, "roundtrip", budget=39) is None
+
+
+def test_roundtrip_sweep_gives_up_past_its_memory_bound():
+    # On a path of n vertices with both arcs of every edge, the levels of
+    # each direction settle at n - 1, so the sweep keeps 2n levels at most.
+    def path(n):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        return Graph(n, edges + [(v, u) for u, v in edges])
+
+    n = ROUNDTRIP_MAX_LEVELS // 2
+    assert sweep_ecc(path(n), "roundtrip", budget=INF) == reference_report(path(n), "roundtrip").ecc
+    assert sweep_ecc(path(n + 1), "roundtrip", budget=INF) is None
 
 
 def test_sweep_capacity_and_variant_checks():

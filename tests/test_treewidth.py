@@ -35,6 +35,47 @@ def test_validate_catches_disconnected_occurrences():
         td.validate(g)
 
 
+def test_validate_messages_on_mutated_decompositions():
+    # Each bag of a 3-tree's decomposition loses each of its vertices in turn.
+    # The message names the first fault a scan of every bag finds, in the
+    # order the checks run: a vertex in no bag, an edge in no bag (the first
+    # in g.edges), then a vertex whose bags are not connected.
+    g, td = generate_partial_ktree(30, 3, 1.0, substream(5, "td-mutate"))
+    adj = td.neighbors()
+
+    def connected(bags, v):
+        holding = {i for i, bag in enumerate(bags) if v in bag}
+        seen, stack = set(), [min(holding)]
+        while stack:
+            i = stack.pop()
+            seen.add(i)
+            stack += [j for j in adj[i] if j in holding and j not in seen]
+        return seen == holding
+
+    faults = set()
+    for i, bag in enumerate(td.bags):
+        for v in sorted(bag):
+            bags = list(td.bags)
+            bags[i] = bag - {v}
+            uncovered = [(a, b) for a, b, _ in g.edges if not any(a in x and b in x for x in bags)]
+            if not any(v in x for x in bags):
+                want = f"vertices not covered by any bag: [{v}]"
+            elif uncovered:
+                want = "edge ({},{}) not covered by any bag".format(*uncovered[0])
+            elif not connected(bags, v):
+                want = f"bags containing vertex {v} are not connected"
+            else:
+                want = None
+            try:
+                TreeDecomposition(bags, td.tree).validate(g)
+                got = None
+            except DecompositionError as err:
+                got = str(err)
+            assert got == want, (i, v)
+            faults.add(want and want.split()[0])
+    assert faults == {"vertices", "edge", "bags"}
+
+
 def test_partial_ktree_decomposition_valid():
     for seed in range(10):
         rng = substream(seed, "kt")
@@ -226,7 +267,7 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     assert rep.ecc == exact_eccentricities(g, variant).ecc
     assert rep.radius != INF
     assert len(swept) >= 2
-    assert swept == [variant != "roundtrip"] * len(swept)
+    assert all(swept)
 
 
 def test_tw_recurses_below_the_top_split(monkeypatch):
