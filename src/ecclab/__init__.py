@@ -44,7 +44,6 @@ from .approx import (
 from .rangemax import (
     RangeMaxIndex,
     ThreeLayerInstance,
-    range_max_build,
     three_layer_brute,
     three_layer_farthest,
 )

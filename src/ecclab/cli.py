@@ -131,6 +131,8 @@ class SystemExit2(Exception):
 
 
 def cmd_gen(args):
+    if args.output is None:
+        raise SystemExit2("gen needs --output (the path prefix of the files it writes)")
     rng = substream(args.seed, f"gen:{args.kind}")
     if args.kind == "partial-ktree":
         if args.k < 0 or args.n < args.k + 1:

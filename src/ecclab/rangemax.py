@@ -110,14 +110,6 @@ class RangeMaxIndex:
         )
 
 
-def range_max_build(points, dims=None):
-    """Build an index from (coords, value, payload) triples."""
-    pts = list(points)
-    if dims is None:
-        dims = len(pts[0][0]) if pts else 0
-    return RangeMaxIndex(dims, pts)
-
-
 @dataclass
 class ThreeLayerInstance:
     """Distance grids of a layered graph A -> B -> C.

@@ -7,6 +7,10 @@ portal shortcut edges, and resolve the cross-side farthest vertices through
 the portals with rangemax.three_layer_farthest, a min-plus loop over the
 distinct shapes of the portal distance vectors.
 
+find_portal_split cuts at the most balanced bag-tree edge, with at most width
+portals, or else at a centroid bag, with at most width + 1 portals (the bound
+of a bag separator), so every graph above the base-case size splits.
+
 The decomposition is validated once and normalised in one pass (no tree
 edge joins nested bags).  Each side recurses on the decomposition restricted
 to its own vertices, renumbered and normalised again, so a recursion node
@@ -48,7 +52,7 @@ class DecompositionError(ValueError):
 
 
 class PortalSplitError(RuntimeError):
-    """Raised when no balanced split with few portals was found."""
+    """Raised when a graph is too small to split into two non-empty parts."""
 
 
 @dataclass
@@ -209,54 +213,30 @@ def _restricted(td, pos):
     return _normalize(TreeDecomposition(bags, td.tree))
 
 
-def _boundary(g, side):
-    """Vertices of side with an edge (either direction) leaving side."""
-    portals = set()
-    for u, v, _ in g.edges:
-        iu, iv = u in side, v in side
-        if iu and not iv:
-            portals.add(u)
-        elif iv and not iu:
-            portals.add(v)
-    return portals
-
-
-def _undirected_components(g, removed):
-    seen = set(removed)
-    comps = []
-    adj = g.adj_out
-    adj_in = g.adj_in
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for nbrs in (adj[u], adj_in[u]):
-                for v, _ in nbrs:
-                    if v not in seen:
-                        seen.add(v)
-                        comp.add(v)
-                        q.append(v)
-        comps.append(comp)
-    return comps
-
-
 def find_portal_split(g, td):
-    """A balanced side of the graph whose boundary is at most width portals.
+    """A balanced side of the graph, cut off at one bag of td.
 
-    td must be a valid decomposition of g (see TreeDecomposition.validate);
-    the solver passes a normalised one.  The returned split satisfies:
-    portals is a subset of side, every edge leaving side is incident to a
-    portal, |portals| <= width, and the side holds between n/(width+1) and
-    n*width/(width+1) vertices.
+    td must be a valid, normalised decomposition of g (no tree edge joins
+    nested bags; see TreeDecomposition.validate and _normalize), as the solver
+    passes.  On the bag tree rooted at bag 0 the split takes, in order:
+
+    - Tree-edge cut: of the tree edges with a side of between n/(width+1) and
+      n*width/(width+1) vertices, the one whose side is closest to n/2.  The
+      side is the union of the bags on one end; its portals lie in the two
+      end bags' intersection, at most width vertices.
+    - Centroid bag: otherwise, walking down from the root, the first bag c
+      with no child part (the vertices of one subtree hanging off c, outside
+      c) of more than half of the vertices outside c.  The side is c plus
+      whole parts around c, largest first, until they hold a third of the
+      vertices outside c; its portals lie in c, at most width + 1 vertices.
+
+    The portals are the vertices of the cut bag with an edge (in either
+    direction) leaving the side, so no edge joins side - portals to the
+    complement.  Both are non-empty for every graph with n > max(width**3,
+    16); PortalSplitError is raised when one of them would be empty.
     """
     n = g.n
     k = max(1, td.width)
-    if n <= k + 1:
-        raise PortalSplitError(f"graph too small to split (n={n}, width={k})")
     lo = n / (k + 1)
     hi = n * k / (k + 1)
     if k == 1:
@@ -264,105 +244,81 @@ def find_portal_split(g, td):
         hi = math.ceil(hi)
 
     bags = td.bags
-    nb = len(bags)
     adj = td.neighbors()
 
     # Root the bag tree, find each vertex's topmost bag, count per subtree.
-    parent = [-1] * nb
+    parent = [-1] * len(bags)
     bfs = [0]
-    seen = [False] * nb
-    seen[0] = True
     for u in bfs:
         for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+            if v != parent[u]:
                 parent[v] = u
                 bfs.append(v)
     top = {}
     for b in bfs:
         for v in bags[b]:
-            if v not in top:
-                top[v] = b
-    cnt_top = [0] * nb
-    for v, b in top.items():
+            top.setdefault(v, b)
+    cnt_top = [0] * len(bags)
+    for b in top.values():
         cnt_top[b] += 1
     sub_top = cnt_top[:]
-    for b in reversed(bfs):
-        if parent[b] != -1:
-            sub_top[parent[b]] += sub_top[b]
+    for b in reversed(bfs[1:]):
+        sub_top[parent[b]] += sub_top[b]
 
-    def subtree_bags(c):
-        out = [c]
-        for u in out:
-            for v in adj[u]:
-                if v != parent[u] and parent[v] == u:
-                    out.append(v)
-        return out
-
-    def finish(side):
-        portals = _boundary(g, side)
-        if len(portals) > k:
-            return None
-        if not (lo <= len(side) <= hi):
-            return None
-        return PortalSplit(
-            frozenset(side), frozenset(portals), frozenset(set(range(n)) - side)
-        )
-
-    candidates = []
-    for c in range(nb):
-        if parent[c] == -1:
-            continue
-        sep = bags[c] & bags[parent[c]]
-        size_sub = sub_top[c] + len(sep)
-        size_other = n - sub_top[c]
-        for size in (size_sub, size_other):
-            if lo <= size <= hi:
-                candidates.append((abs(size - n / 2), c, size == size_sub))
-    candidates.sort()
-    for _, c, take_sub in candidates:
+    # A vertex of bag c tops out above c exactly when it lies in c's parent,
+    # so the subtree of c holds sub_top[c] + len(bags[c]) - cnt_top[c]
+    # vertices and the rest of the tree n - sub_top[c].  Equal sizes take
+    # the subtree.
+    sub_sizes = {c: sub_top[c] + len(bags[c]) - cnt_top[c] for c in bfs[1:]}
+    cut = min(
+        ((abs(size - n / 2), c, size == sub)
+         for c, sub in sub_sizes.items()
+         for size in (sub, n - sub_top[c])
+         if lo <= size <= hi),
+        default=None,
+    )
+    if cut is not None:
+        _, c, take_sub = cut
         if take_sub:
-            side = set().union(*(bags[b] for b in subtree_bags(c)))
+            bag, parts = c, [u for u in adj[c] if u != parent[c]]
         else:
-            inside = set(subtree_bags(c))
-            side = set().union(*(bags[b] for b in range(nb) if b not in inside))
-            side |= bags[c] & bags[parent[c]]
-        split = finish(side)
-        if split is not None:
-            return split
-
-    # No single tree edge is balanced: group components around a centroid bag.
-    best_c, best_load = 0, None
-    for c in range(nb):
-        parts = []
-        for v in adj[c]:
-            if parent[v] == c:
-                parts.append(sub_top[v])
-        up = n - len(bags[c]) - sum(parts)
-        load = max(parts + [up], default=0)
-        if best_load is None or load < best_load:
-            best_c, best_load = c, load
-    bag = set(bags[best_c])
-    comps = _undirected_components(g, bag)
-    for ordering in (
-        sorted(comps, key=len, reverse=True),
-        sorted(comps, key=len),
-    ):
-        side = set(bag)
-        for comp in ordering:
-            if len(side) >= lo:
+            bag, parts = parent[c], [u for u in adj[parent[c]] if u != c]
+    else:
+        bag = 0
+        while True:
+            outside = n - len(bags[bag])
+            heavy = [u for u in adj[bag] if u != parent[bag] and 2 * sub_top[u] > outside]
+            if not heavy:
                 break
-            side |= comp
-        for cand in (side, (set(range(n)) - side) | bag):
-            split = finish(cand)
-            if split is not None:
-                return split
-    # Single-component candidates.
-    for comp in comps:
-        split = finish(set(bag) | comp)
-        if split is not None:
-            return split
-    raise PortalSplitError("no balanced split with at most width portals found")
+            bag = heavy[0]
+        up = n - sub_top[bag] - (len(bags[bag]) - cnt_top[bag])
+
+        def part(u):
+            return up if u == parent[bag] else sub_top[u]
+
+        parts, held = [], 0
+        for u in sorted(adj[bag], key=part, reverse=True):
+            if 3 * held >= outside:
+                break
+            parts.append(u)
+            held += part(u)
+
+    # The side is the cut bag and every vertex topping out in a chosen part.
+    in_side = [False] * len(bags)
+    stack = list(parts)
+    while stack:
+        b = stack.pop()
+        in_side[b] = True
+        stack += [v for v in adj[b] if v != bag and not in_side[v]]
+    side = set(bags[bag]).union(v for v, b in top.items() if in_side[b])
+    out, inc = g.adj_out, g.adj_in
+    portals = frozenset(
+        v for v in bags[bag] if any(u not in side for nbrs in (out[v], inc[v]) for u, _ in nbrs)
+    )
+    complement = frozenset(v for v in range(n) if v not in side)
+    if not complement or len(side) == len(portals):
+        raise PortalSplitError(f"graph too small to split (n={n}, width={td.width})")
+    return PortalSplit(frozenset(side), portals, complement)
 
 
 def min_degree_decomposition(g):
@@ -529,10 +485,7 @@ def _solve(g, td, variant):
     n = g.n
     if n <= max(td.width ** 3, 16):
         return _base_case(g, variant)
-    try:
-        split = find_portal_split(g, td)
-    except PortalSplitError:
-        return _base_case(g, variant)
+    split = find_portal_split(g, td)
     portals = sorted(split.portals)
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}
     # On an undirected graph adj_in is adj_out, so d(v -> p) = d(p -> v).
@@ -541,8 +494,8 @@ def _solve(g, td, variant):
     ecc = [0] * n
     for p in portals:
         ecc[p] = max(pair_row(variant, fwd[p], bwd[p]))
-    # n > max(width ** 3, 16) puts more than width vertices in the split's
-    # side, so neither inner nor outer is empty.
+    # For n > max(width ** 3, 16) the split leaves neither inner nor outer
+    # empty, so both sides recurse on fewer vertices.
     inner = sorted(split.side - split.portals)
     outer = sorted(split.complement)
     for own, far in ((inner, outer), (outer, inner)):

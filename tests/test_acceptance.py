@@ -43,7 +43,7 @@ from ecclab.gadgets import (
 )
 from ecclab.graph import INF, Graph, read_graph, topological_order, write_graph
 from ecclab.oracle import all_pairs, exact_eccentricities, exact_median
-from ecclab.rangemax import ThreeLayerInstance, range_max_build, three_layer_brute, three_layer_farthest
+from ecclab.rangemax import RangeMaxIndex, ThreeLayerInstance, three_layer_brute, three_layer_farthest
 from ecclab.reduce23 import DIAMETER, RADIUS, reduce_decision23_to_set_system
 from ecclab.seeds import substream
 from ecclab.setsystem import (
@@ -311,7 +311,7 @@ def test_11_range_max_structures():
         for _ in range(d):
             lo = rng.randint(0, 9)
             box.append((lo, lo + rng.randint(0, 6)))
-        idx = range_max_build(points, dims=d)
+        idx = RangeMaxIndex(d, points)
         best = None
         for coords, value, payload in points:
             if all(lo <= c <= hi for c, (lo, hi) in zip(coords, box)):

@@ -163,6 +163,8 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
     ({}, ["gen", "--kind", "partial-ktree", "--n", "0", "--output", "x"]),
     ({}, ["gen", "--kind", "partial-ktree", "--n", "5", "--k", "-1", "--output", "x"]),
     ({}, ["gen", "--kind", "radius-23", "--d", "-1", "--output", "x"]),
+    ({}, ["gen", "--kind", "partial-ktree"]),
+    ({}, ["gen", "--kind", "radius-23"]),
     ({"g.graph": "p 1 1 U W\n0 0 -5\n"}, ["exact", "--input", "g.graph"]),
     ({"g.graph": "p 2 1 U 1\n0 1\n", "g.td": "s td 2 2 2\nb 1 0 1\nb 2 1\n1 2 7 x\n"},
      ["tw", "--input", "g.graph", "--td", "g.td"]),
@@ -180,9 +182,9 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
      ["reduce", "--input", "g.graph", "--target", "radius", "--rounds", "-1"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
-        "gen-negative-d", "graph-self-loop-weight", "td-edge-extra-field", "approx-dag-cycle",
-        "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero", "reduce-rounds-zero",
-        "reduce-rounds-negative"])
+        "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
+        "td-edge-extra-field", "approx-dag-cycle", "approx-dag-undirected", "approx-weighted",
+        "approx-epsilon-zero", "reduce-rounds-zero", "reduce-rounds-negative"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from ecclab.graph import INF
 from ecclab.rangemax import (
+    RangeMaxIndex,
     ThreeLayerInstance,
-    range_max_build,
     three_layer_brute,
     three_layer_farthest,
 )
@@ -38,14 +38,14 @@ def test_range_max_matches_scan():
     for d in (1, 2, 3, 4):
         for _ in range(60):
             points, box = random_workload(rng, d, rng.randint(0, 25))
-            idx = range_max_build(points, dims=d)
+            idx = RangeMaxIndex(d, points)
             assert idx.query(box) == brute_box_max(points, box)
 
 
 def test_range_max_empty_and_zero_dims():
-    idx = range_max_build([], dims=2)
+    idx = RangeMaxIndex(2, [])
     assert idx.query([(0, 5), (0, 5)]) is None
-    idx0 = range_max_build([((), 7, "p"), ((), 9, "q")], dims=0)
+    idx0 = RangeMaxIndex(0, [((), 7, "p"), ((), 9, "q")])
     assert idx0.query([]) == (9, "q")
 
 
@@ -54,7 +54,7 @@ def test_range_max_empty_and_zero_dims():
 def test_range_max_hypothesis(seed, d, npts):
     rng = random.Random(seed)
     points, box = random_workload(rng, d, npts)
-    idx = range_max_build(points, dims=d)
+    idx = RangeMaxIndex(d, points)
     assert idx.query(box) == brute_box_max(points, box)
 
 

@@ -9,6 +9,7 @@ from ecclab.oracle import VARIANTS, exact_eccentricities
 from ecclab.seeds import substream
 from ecclab.treewidth import (
     DecompositionError,
+    PortalSplitError,
     TreeDecomposition,
     _normalize,
     _restricted,
@@ -164,16 +165,40 @@ def test_normalize_and_restrict_leave_no_nested_edge():
 
 
 def test_portal_split_separates():
+    # Every normalised decomposition of a graph with n > max(width**3, 16)
+    # splits: the portals lie in one bag, at most width + 1 of them, and
+    # separate two non-empty parts.  The second input once found no split.
     rng = substream(2, "split")
-    g, td = generate_partial_ktree(60, 3, 0.8, rng)
-    split = find_portal_split(g, td)
-    portals = set(split.portals)
-    side_a = set(split.side) - portals
-    side_b = set(split.complement) - portals
-    assert side_a.isdisjoint(side_b)
-    for u, v, _ in g.edges:
-        if u in side_a and v in side_b or u in side_b and v in side_a:
-            raise AssertionError(f"edge ({u},{v}) crosses the split")
+    g0, td0 = generate_partial_ktree(60, 3, 0.8, rng)
+    g1, _ = generate_partial_ktree(400, 2, 0.8, random.Random(1))
+    cases = [(g0, td0), (g1, min_degree_decomposition(g1))]
+    for trial in range(80):
+        k = rng.randint(1, 4)
+        g, td = generate_partial_ktree(rng.randint(k + 1, 300), k, rng.uniform(0.3, 1.0), rng,
+                                       directed=trial % 2 == 1)
+        cases += [(g, td), (g, min_degree_decomposition(g))]
+    splits = 0
+    for g, td in cases:
+        nd = _normalize(td)
+        if g.n <= max(nd.width ** 3, 16):
+            continue
+        split = find_portal_split(g, nd)
+        splits += 1
+        portals = split.portals
+        assert any(portals <= bag for bag in nd.bags)
+        assert len(portals) <= nd.width + 1
+        side_a = split.side - portals
+        side_b = split.complement
+        assert side_a and side_b
+        assert split.side.isdisjoint(side_b) and len(split.side) + len(side_b) == g.n
+        for u, v, _ in g.edges:
+            if u in side_a and v in side_b or u in side_b and v in side_a:
+                raise AssertionError(f"edge ({u},{v}) crosses the split")
+    assert splits >= 80
+    # One bag holds every vertex: no side can leave a complement.
+    triangle = Graph(3, [(0, 1), (1, 2), (2, 0)], undirected=True)
+    with pytest.raises(PortalSplitError):
+        find_portal_split(triangle, TreeDecomposition([{0, 1, 2}], []))
 
 
 def connected_ktree(seed, variant, n=200, k=3):
@@ -288,6 +313,10 @@ def test_tw_recurses_below_the_top_split(monkeypatch):
     # The 4-tree is undirected for "undirected" and directed for the rest.
     cases = [(variant, connected_ktree(0, variant, n=300, k=4)) for variant in VARIANTS]
     cases.append(("min", connected_ktree(0, "min")))
+    # The `ecclab tw` path without --td.
+    for seed, variant, n in (3, "min", 200), (2, "undirected", 300):
+        g, _ = connected_ktree(seed, variant, n=n, k=2)
+        cases.append((variant, (g, min_degree_decomposition(g))))
     for variant, (g, td) in cases:
         deepest[0] = 0
         assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
