@@ -78,6 +78,8 @@ GADGET_KINDS = {
     "all-eccentricities": (OV, lambda inst, a: gadget_all_eccentricities(inst)),
 }
 
+QUANTITIES = ("radius", "diameter", "eccentricities", "median")
+
 APPROX_ALGORITHMS = (
     "source-radius",
     "min-diameter",
@@ -291,9 +293,7 @@ def _verified_value(g, quantity, variant, args):
         return report.radius
     if quantity == "diameter":
         return report.diameter
-    if quantity == "eccentricities":
-        return report.ecc
-    raise SystemExit2(f"sidecar has unknown quantity {quantity!r}")
+    return report.ecc
 
 
 def _read_sidecar(path):
@@ -302,6 +302,8 @@ def _read_sidecar(path):
     try:
         sidecar = json.loads(_read_text(path))
         quantity, variant = sidecar["quantity"], sidecar["variant"]
+        if quantity not in QUANTITIES:
+            raise SystemExit2(f"sidecar has unknown quantity {quantity!r}")
         if quantity == "eccentricities":
             extras = sidecar["extras"]
             hub = extras.get("hub")
@@ -354,8 +356,11 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ecclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a graph (gadget, partial k-tree, or DAG block)")
+    p = sub.add_parser("gen", help="generate a graph (gadget, partial k-tree, or DAG block)",
+                       conflict_handler="resolve")
     _add_common(p)
+    p.add_argument("--output", help="path prefix of the files written (required): <prefix>.graph, "
+                   "plus .td for partial-ktree or .json and .ss for a gadget")
     p.add_argument("--kind", required=True)
     p.add_argument("--na", type=int, default=8)
     p.add_argument("--nb", type=int, default=8)
@@ -411,10 +416,7 @@ def main(argv=None):
         return exc.code if exc.code in (0, USAGE_ERROR) else USAGE_ERROR
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (GraphFormatError, VariantError, DecompositionError, FileNotFoundError) as exc:
+    except (SystemExit2, GraphFormatError, VariantError, DecompositionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CapacityError as exc:

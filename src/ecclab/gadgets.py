@@ -28,23 +28,17 @@ class GadgetError(ValueError):
 class GraphBuilder:
     def __init__(self, undirected=False):
         self.undirected = undirected
-        self.labels = []
         self.index = {}
         self.edges = []
 
     def node(self, label):
-        if label in self.index:
-            return self.index[label]
-        i = len(self.labels)
-        self.labels.append(label)
-        self.index[label] = i
-        return i
+        return self.index.setdefault(label, len(self.index))
 
     def edge(self, u, v, w=1):
         self.edges.append((u, v, w))
 
     def build(self):
-        return Graph(len(self.labels), self.edges, undirected=self.undirected)
+        return Graph(len(self.index), self.edges, undirected=self.undirected)
 
 
 @dataclass
@@ -78,9 +72,7 @@ class GadgetOutput:
             "no_bound": self.no_bound,
             "is_dag": self.is_dag,
             "witness_map": self.witness_map,
-            "extras": {
-                k: v for k, v in self.extras.items() if _json_safe(v)
-            },
+            "extras": self.extras,
         }
         if self.pathwidth_witness is not None:
             payload["pathwidth_witness"] = {
@@ -88,14 +80,6 @@ class GadgetOutput:
                 "tree": [list(e) for e in self.pathwidth_witness.tree],
             }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _json_safe(v):
-    try:
-        json.dumps(v)
-        return True
-    except (TypeError, ValueError):
-        return False
 
 
 def reduce_hse(inst):
@@ -145,11 +129,41 @@ def _tripartite(b, masks_a, masks_b, positions, tag, w=1):
     return a_ids, list(mid.values()), b_ids
 
 
-def _hse_answer(inst):
-    ans, wit = solve_set_system(
-        inst if inst.mode == HSE else SetSystemInstance(inst.d, inst.list_a, inst.list_b, HSE)
-    )
-    return ans, wit
+def _decided(inst, mode):
+    """Decide `inst` as a `mode` instance: (answer, witness, work).
+
+    `work` is the instance to build from.  A degenerate instance (HSE: YES
+    with no b-set; OV: NO with an empty side) becomes the one-element
+    instance with the same answer, so every gadget has some vertex to hold
+    its promise."""
+    if inst.mode != mode:
+        inst = SetSystemInstance(inst.d, inst.list_a, inst.list_b, mode)
+    answer, witness = solve_set_system(inst)
+    if mode == HSE:
+        degenerate = answer and inst.nb == 0
+    else:
+        degenerate = not answer and (inst.na == 0 or inst.nb == 0)
+    if degenerate:
+        inst = SetSystemInstance.from_sets([[0]], [[0]], 1, mode)
+    return answer, witness, inst
+
+
+def _chain(b, labels, first=None):
+    """Create one node per label, in order, joined by unit arcs into a path
+    that starts at `first` when given.  Returns the new ids."""
+    ids = [b.node(label) for label in labels]
+    path = ids if first is None else [first] + ids
+    for u, v in zip(path, path[1:]):
+        b.edge(u, v)
+    return ids
+
+
+def _spine_witness(shared, spine):
+    """Path decomposition with `shared` in every bag and one bag per spine
+    vertex (a single bag of `shared` when the spine is empty)."""
+    shared = frozenset(shared)
+    bags = [shared | {v} for v in spine] or [shared]
+    return TreeDecomposition(bags, [(i, i + 1) for i in range(len(bags) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +175,7 @@ def gadget_radius_23(inst, sparsify=False):
 
     With sparsify=True the dummy-pendant block is added (same promise, more
     nodes, no pathwidth witness)."""
-    answer, _ = _hse_answer(inst)
+    answer = _decided(inst, HSE)[0]
     masks_a, _ = reduce_hse(inst)
     b = GraphBuilder(undirected=True)
     a_ids, u_ids, b_ids = _tripartite(b, masks_a, inst.list_b, range(inst.d), "u")
@@ -185,15 +199,7 @@ def gadget_radius_23(inst, sparsify=False):
             b.edge(hub, b.node(("dummy", i)))
         witness["dummy_hub"] = hub
     else:
-        shared = set(u_ids) | {x, y, z}
-        spine = a_ids + b_ids
-        if spine:
-            bags = [frozenset(shared | {v}) for v in spine]
-            tree = [(i, i + 1) for i in range(len(bags) - 1)]
-        else:
-            bags = [frozenset(shared)]
-            tree = []
-        pw = TreeDecomposition(bags, tree)
+        pw = _spine_witness(u_ids + [x, y, z], a_ids + b_ids)
     return GadgetOutput(
         graph=b.build(),
         variant=UNDIRECTED,
@@ -213,10 +219,6 @@ def gadget_radius_23(inst, sparsify=False):
 # Directed source / max radius, t+1 vs 2t.
 
 
-def _canonical_yes_hse():
-    return SetSystemInstance.from_sets([[0]], [[0]], 1, HSE)
-
-
 def _source_like_nodes(b, inst, t, masks_a):
     """Shared skeleton: HSE arcs, b-tails, a-heads behind the hub x."""
     present = 0
@@ -227,22 +229,13 @@ def _source_like_nodes(b, inst, t, masks_a):
     x = b.node("x")
     tails = []
     for i, bid in enumerate(b_ids):
-        prev = bid
-        for step in range(1, t):
-            nxt = b.node(("bt", i, step))
-            b.edge(prev, nxt)
-            tails.append(nxt)
-            prev = nxt
+        tails += _chain(b, [("bt", i, s) for s in range(1, t)], bid)
     heads = []
     for i, aid in enumerate(a_ids):
         b.edge(aid, x)
-        prev = x
-        for step in range(1, t - 1):
-            nxt = b.node(("ah", i, step))
-            b.edge(prev, nxt)
-            heads.append(nxt)
-            prev = nxt
-        b.edge(prev, aid)
+        head = _chain(b, [("ah", i, s) for s in range(1, t - 1)], x)
+        heads += head
+        b.edge(head[-1] if head else x, aid)
     return a_ids, u_ids, b_ids, tails, heads, x
 
 
@@ -250,10 +243,7 @@ def gadget_source_radius(inst, t):
     """Source radius: YES -> exactly t+1, NO -> >= 2t (t >= 2)."""
     if t < 2:
         raise GadgetError("t must be at least 2")
-    answer, _ = _hse_answer(inst)
-    work = inst
-    if answer and inst.nb == 0:
-        work = _canonical_yes_hse()
+    answer, _, work = _decided(inst, HSE)
     masks_a, _ = reduce_hse(work)
     b = GraphBuilder(undirected=False)
     _, _, _, _, _, x = _source_like_nodes(b, work, t, masks_a)
@@ -292,7 +282,7 @@ def gadget_max_radius(inst, t):
     removed from the universe."""
     if t < 2:
         raise GadgetError("t must be at least 2")
-    answer, _ = _hse_answer(inst)
+    answer = _decided(inst, HSE)[0]
     list_a = list(inst.list_a)
     list_b = list(inst.list_b)
     d = inst.d
@@ -306,28 +296,19 @@ def gadget_max_radius(inst, t):
                     break
                 drop |= 1 << j
     if trivial_yes or (answer and inst.nb == 0):
-        return GadgetOutput(
-            graph=_trivial_max_yes(t),
-            variant=MAX,
-            quantity="radius",
-            answer=answer,
-            eq_side="yes",
-            yes_value=t + 1,
-            no_bound=2 * t,
-            is_dag=False,
-            witness_map={"center": t + 1},
-            extras={"t": t, "trivial": True},
-        )
-    keep = ~drop
-    work = SetSystemInstance(d, [m & keep for m in list_a], [m & keep for m in list_b], HSE)
-    masks_a, _ = reduce_hse(work)
-    b = GraphBuilder(undirected=False)
-    a_ids, u_ids, b_ids, tails, heads, x = _source_like_nodes(b, work, t, masks_a)
-    for v in u_ids + b_ids + tails + heads:
-        b.edge(v, x)
-    g = b.build()
-    if g.n < 2:
-        g = Graph(2, [])
+        g, witness, extras = _trivial_max_yes(t), {"center": t + 1}, {"t": t, "trivial": True}
+    else:
+        keep = ~drop
+        work = SetSystemInstance(d, [m & keep for m in list_a], [m & keep for m in list_b], HSE)
+        masks_a, _ = reduce_hse(work)
+        b = GraphBuilder(undirected=False)
+        a_ids, u_ids, b_ids, tails, heads, x = _source_like_nodes(b, work, t, masks_a)
+        for v in u_ids + b_ids + tails + heads:
+            b.edge(v, x)
+        g = b.build()
+        if g.n < 2:
+            g = Graph(2, [])
+        witness, extras = {"x": x}, {"t": t}
     return GadgetOutput(
         graph=g,
         variant=MAX,
@@ -337,8 +318,8 @@ def gadget_max_radius(inst, t):
         yes_value=t + 1,
         no_bound=2 * t,
         is_dag=False,
-        witness_map={"x": x},
-        extras={"t": t},
+        witness_map=witness,
+        extras=extras,
     )
 
 
@@ -357,14 +338,12 @@ def gadget_roundtrip_radius(inst):
     on 4-cycles through both u_C and u_D, while chain attachments are keyed
     to the membership classes so that every chain node sits at roundtrip
     distance exactly 4 from every a.  B attaches as u_C -> b, b -> u_D."""
-    answer, _ = _hse_answer(inst)
-    work = inst
-    if answer and (inst.d == 0 or inst.nb == 0):
-        work = _canonical_yes_hse()
+    answer, _, work = _decided(inst, HSE)
     masks_a, _ = reduce_hse(work)
     b = GraphBuilder(undirected=False)
     a_ids = [b.node(("a", i)) for i in range(len(masks_a))]
     core = []
+    spine = list(a_ids)
     for copy in (1, 2):
         ucs, uds = {}, {}
         for j in range(work.d):
@@ -416,6 +395,7 @@ def gadget_roundtrip_radius(inst):
                     b.edge(s2, a)
                     b.edge(t2, a)
         bb_ids = [b.node(("b", copy, i)) for i in range(work.nb)]
+        spine += bb_ids
         _members(b, bb_ids, work.list_b, ucs, into=True)
         _members(b, bb_ids, work.list_b, uds)
     g = b.build()
@@ -423,17 +403,7 @@ def gadget_roundtrip_radius(inst):
         g = Graph(2, [])
     # Pathwidth witness: the full core (all u and chain nodes of both copies)
     # sits in every bag; each a or b vertex occupies one bag of its own.
-    core_set = frozenset(core)
-    bags = []
-    for aid in a_ids:
-        bags.append(core_set | {aid})
-    for key, vid in b.index.items():
-        if isinstance(key, tuple) and key[0] == "b":
-            bags.append(core_set | {vid})
-    if not bags:
-        bags = [core_set if core_set else frozenset({0})]
-    tree = [(i, i + 1) for i in range(len(bags) - 1)]
-    pw = TreeDecomposition(bags, tree) if g.n > 2 or core else None
+    pw = _spine_witness(core, spine) if g.n > 2 or core else None
     return GadgetOutput(
         graph=g,
         variant=ROUNDTRIP,
@@ -481,10 +451,7 @@ def _attach_dg(b, leaf_ids, t, tag):
         return out
     chains = {}
     for idx in range(1, size):
-        chain = [b.node((tag, "int", idx, s)) for s in range(t)]
-        for s in range(t - 1):
-            b.edge(chain[s], chain[s + 1])
-        chains[idx] = chain
+        chain = chains[idx] = _chain(b, [(tag, "int", idx, s) for s in range(t)])
         out["added"].extend(chain)
         for v in chain:
             out["heap_index"][v] = idx
@@ -540,24 +507,15 @@ def gadget_min_radius_dag(inst, t):
     """Min radius on a DAG: YES -> exactly t+1, NO -> >= 2t (t >= 2)."""
     if t < 2:
         raise GadgetError("t must be at least 2")
-    answer, _ = _hse_answer(inst)
-    work = inst
-    if answer and inst.nb == 0:
-        work = _canonical_yes_hse()
+    answer, _, work = _decided(inst, HSE)
     masks_a, _ = reduce_hse(work)
     b = GraphBuilder(undirected=False)
     a_ids, u_ids, b_ids = _tripartite(b, masks_a, work.list_b, range(work.d), "u")
     for i, bid in enumerate(b_ids):
-        prev = bid
-        for step in range(1, t):
-            nxt = b.node(("bt", i, step))
-            b.edge(prev, nxt)
-            prev = nxt
+        _chain(b, [("bt", i, s) for s in range(1, t)], bid)
     _attach_dg(b, a_ids, t, "dg1")
     _attach_dg(b, a_ids, t, "dg2")
-    xs = [b.node(("x", i)) for i in range(1, t + 1)]
-    for i in range(t - 1):
-        b.edge(xs[i], xs[i + 1])
+    xs = _chain(b, [("x", i) for i in range(1, t + 1)])
     y = b.node("y")
     for a in a_ids:
         b.edge(a, xs[0])
@@ -584,15 +542,6 @@ def gadget_min_radius_dag(inst, t):
 # Min diameter, 2 vs 3 on a DAG and t+1 vs 2t weighted.
 
 
-def _ov_answer(inst):
-    work = inst if inst.mode == OV else SetSystemInstance(inst.d, inst.list_a, inst.list_b, OV)
-    return solve_set_system(work)
-
-
-def _canonical_no_ov():
-    return SetSystemInstance.from_sets([[0]], [[0]], 1, OV)
-
-
 def gadget_min_diameter_dag(inst):
     """Min diameter on a DAG: NO orthogonal pair -> exactly 2, YES -> >= 3.
 
@@ -601,10 +550,7 @@ def gadget_min_diameter_dag(inst):
     Hub-to-widget edges also cover the internal widget nodes of the B part so
     that every A-to-B-part pair stays at 2 on NO instances.
     """
-    answer, witness = _ov_answer(inst)
-    work = inst
-    if not answer and (inst.na == 0 or inst.nb == 0):
-        work = _canonical_no_ov()
+    answer, witness, work = _decided(inst, OV)
     b = GraphBuilder(undirected=False)
     a_ids, c_ids, b_ids = _tripartite(b, work.list_a, work.list_b, range(work.d), "c")
     dg_a = _attach_dg(b, a_ids, 1, "dga")
@@ -646,10 +592,7 @@ def gadget_min_diameter_weighted(inst, t):
     t must be even and at least 2."""
     if t < 2 or t % 2:
         raise GadgetError("t must be even and at least 2")
-    answer, witness = _ov_answer(inst)
-    work = inst
-    if not answer and (inst.na == 0 or inst.nb == 0):
-        work = _canonical_no_ov()
+    answer, witness, work = _decided(inst, OV)
     h = t // 2
     b = GraphBuilder(undirected=False)
     a_ids, c_ids, b_ids = _tripartite(b, work.list_a, work.list_b, range(work.d), "c", w=h)
@@ -705,10 +648,7 @@ def _diameter_23_edges(work):
 
 def gadget_undirected_diameter_23(inst):
     """Undirected diameter: NO orthogonal pair -> exactly 2, YES -> >= 3."""
-    answer, witness = _ov_answer(inst)
-    work = inst
-    if not answer and (inst.na == 0 or inst.nb == 0):
-        work = _canonical_no_ov()
+    answer, witness, work = _decided(inst, OV)
     b, x, y = _diameter_23_edges(work)
     return GadgetOutput(
         graph=b.build(),
@@ -729,16 +669,10 @@ def gadget_roundtrip_diameter(inst):
 
     This is the bidirected version of the undirected 2 vs 3 graph, so every
     roundtrip distance is twice the undirected one."""
-    answer, witness = _ov_answer(inst)
-    work = inst
-    if not answer and (inst.na == 0 or inst.nb == 0):
-        work = _canonical_no_ov()
+    answer, witness, work = _decided(inst, OV)
     b, x, y = _diameter_23_edges(work)
     g_und = b.build()
-    edges = []
-    for u, v, w in g_und.directed_edges():
-        edges.append((u, v, w))
-    g = Graph(g_und.n, edges, undirected=False)
+    g = Graph(g_und.n, list(g_und.directed_edges()), undirected=False)
     return GadgetOutput(
         graph=g,
         variant=ROUNDTRIP,
@@ -844,7 +778,7 @@ def gadget_median(inst):
     M* = 9p + 2|A| + 2|B| + 4|U| + 4 where p is the pendant-block size,
     reported in extras.  A slack universe element belonging to every b-set and
     no a-set keeps the construction non-degenerate."""
-    answer, _ = _hse_answer(inst)
+    answer = _decided(inst, HSE)[0]
     list_a, list_b, d = _median_preprocess(inst)
     if answer and not list_b:
         list_a, list_b, d = [1, 2], [1], 2

@@ -135,20 +135,16 @@ class ThreeLayerInstance:
 
 
 def three_layer_brute(inst):
-    """Reference triple loop; returns [(value, witness_c)] per a."""
-    nb, nc = inst.nb, inst.nc
+    """Reference triple loop; returns the target value per a."""
     out = []
     for row in inst.d_ab:
-        best_val, best_c = -1, None
-        for c in range(nc):
+        best = -1
+        for c in range(inst.nc):
             m = INF
-            for b in range(nb):
-                d = row[b] + inst.d_bc[b][c]
-                if d < m:
-                    m = d
-            if m > best_val:
-                best_val, best_c = m, c
-        out.append((best_val, best_c))
+            for b in range(inst.nb):
+                m = min(m, row[b] + inst.d_bc[b][c])
+            best = max(best, m)
+        out.append(best)
     return out
 
 
@@ -162,9 +158,9 @@ def _offset_shape(vec):
 
 
 def three_layer_farthest(inst):
-    """For every a, the farthest c through the middle layer, with witness.
+    """For every a, the distance to the farthest c through the middle layer.
 
-    Exact, including infinite entries, with the same values and witnesses as
+    Exact, including infinite entries, with the same values as
     three_layer_brute.  Each row of d_ab and column of d_bc is split into an
     offset and a shape (_offset_shape).  Distances to a small middle layer
     take few shapes, so the min-plus loop runs once per distinct (row shape,
@@ -172,29 +168,18 @@ def three_layer_farthest(inst):
     """
     if inst.nc == 0:
         raise ValueError("empty C layer")
-    # Per column shape: largest offset, smallest c with that offset, and the
-    # smallest c of the shape (the witness when the shape pair is INF).
+    # Per column shape, its largest offset: the only one that can be farthest.
     groups = {}
-    for c, col in enumerate(zip(*inst.d_bc)):
+    for col in zip(*inst.d_bc):
         off, shape = _offset_shape(col)
-        g = groups.get(shape)
-        if g is None:
-            groups[shape] = [off, c, c]
-        elif off > g[0]:
-            g[0], g[1] = off, c
-    # Per row shape: (value minus the row's offset, witness c).
+        groups[shape] = max(off, groups.get(shape, off))
+    # Per row shape, the value minus the row's offset.
     best = {}
     out = []
     for row in inst.d_ab:
         off, shape = _offset_shape(row)
-        hit = best.get(shape)
-        if hit is None:
-            hit = (-1, None)
-            for col_shape, (col_off, c_max, c_first) in groups.items():
-                m = min(map(add, shape, col_shape), default=INF)
-                cand = (INF, c_first) if m == INF else (m + col_off, c_max)
-                if cand[0] > hit[0] or (cand[0] == hit[0] and cand[1] < hit[1]):
-                    hit = cand
-            best[shape] = hit
-        out.append((hit[0] + off, hit[1]))
+        if shape not in best:
+            best[shape] = max(min(map(add, shape, col_shape), default=INF) + col_off
+                              for col_shape, col_off in groups.items())
+        out.append(best[shape] + off)
     return out

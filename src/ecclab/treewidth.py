@@ -460,7 +460,7 @@ def _cross_values(variant, avs, portals, cvs, fwd, bwd):
     def farthest(middle):
         d_ab = [[to_mid[a] for to_mid, _ in middle] for a in avs]
         d_bc = [[from_mid[c] for c in cvs] for _, from_mid in middle]
-        return [v for v, _ in three_layer_farthest(ThreeLayerInstance(d_ab, d_bc))]
+        return three_layer_farthest(ThreeLayerInstance(d_ab, d_bc))
 
     out = [(bwd[p], fwd[p]) for p in portals]
     back = [(fwd[p], bwd[p]) for p in portals]

@@ -330,7 +330,7 @@ def test_11_range_max_structures():
                 inst = ThreeLayerInstance([list(r) for r in d_ab], [list(r) for r in d_bc])
                 want = three_layer_brute(inst)
                 got = three_layer_farthest(inst)
-                assert [v for v, _ in got] == [v for v, _ in want]
+                assert got == want
     for _ in range(2000):
         na, nb, nc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         inst = ThreeLayerInstance(
@@ -339,7 +339,7 @@ def test_11_range_max_structures():
         )
         want = three_layer_brute(inst)
         got = three_layer_farthest(inst)
-        assert [v for v, _ in got] == [v for v, _ in want]
+        assert got == want
     _report("range-max-structures (500 box workloads; three-layer exhaustive <=2 + random <=3)")
 
 

@@ -128,6 +128,15 @@ def test_capacity_cap_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_gen_output_help_names_the_prefix(capsys):
+    assert main(["gen", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--output OUTPUT path prefix of the files written (required)" in help_text
+    assert "default stdout" not in help_text
+    assert main(["exact", "--help"]) == 0
+    assert "output file (default stdout)" in capsys.readouterr().out
+
+
 def test_missing_input_is_usage_error(capsys):
     assert main(["exact", "--input", "/nonexistent/file.graph"]) == 2
 
@@ -180,11 +189,16 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
      ["reduce", "--input", "g.graph", "--target", "diameter", "--rounds", "0"]),
     ({"g.graph": GOOD_GRAPH},
      ["reduce", "--input", "g.graph", "--target", "radius", "--rounds", "-1"]),
+    ({"g.graph": "p 3 2 U 1\n0 1\n1 2\n", "g.json": json.dumps(
+        {"quantity": "foo", "variant": "undirected", "answer": True, "eq_side": "yes",
+         "yes_value": 2, "no_bound": 3})},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json", "--cap", "2"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
         "td-edge-extra-field", "approx-dag-cycle", "approx-dag-undirected", "approx-weighted",
-        "approx-epsilon-zero", "reduce-rounds-zero", "reduce-rounds-negative"])
+        "approx-epsilon-zero", "reduce-rounds-zero", "reduce-rounds-negative",
+        "sidecar-quantity"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

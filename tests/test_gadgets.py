@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import json
 import random
+from argparse import Namespace
 
 import pytest
 
+from ecclab.cli import GADGET_KINDS
 from ecclab.gadgets import (
     GadgetError,
     GraphBuilder,
@@ -23,7 +26,7 @@ from ecclab.gadgets import (
     heap_descendant,
     reduce_hse,
 )
-from ecclab.graph import INF, topological_order
+from ecclab.graph import INF, topological_order, write_graph
 from ecclab.oracle import all_pairs, exact_eccentricities, exact_median
 from ecclab.seeds import substream
 from ecclab.setsystem import HSE, OV, SetSystemInstance, random_instance
@@ -272,7 +275,7 @@ def test_tripartite_builder_random():
         a_ids, mid_ids, b_ids = _tripartite(b, masks_a, masks_b, positions, "m", w)
         labels = ([("a", i) for i in range(len(masks_a))] + [("m", j) for j in positions]
                   + [("b", i) for i in range(len(masks_b))])
-        assert b.labels == labels
+        assert list(b.index) == labels
         assert a_ids + mid_ids + b_ids == list(range(len(labels)))
         mid = dict(zip(positions, mid_ids))
         expected = [(a_ids[i], mid[j], w)
@@ -321,3 +324,34 @@ def test_dg_rejects_bad_parameters():
         build_dg(0, 1)
     with pytest.raises(GadgetError):
         build_dg(4, 0)
+
+
+# sha256 over every gadget kind built as `ecclab gen` builds it, plus build_dg.
+# It pins the exact bytes of the graphs, sidecars and expected() values, so a
+# refactor of the constructors must leave every output unchanged.
+GADGET_DIGEST = "4b3397df864ef06fcdab01406dfea0325a8477bd964ccdb06d97626d40cc4076"
+
+
+def test_gadget_outputs_pinned():
+    digest = hashlib.sha256()
+    sizes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 2, 0), (1, 1, 1), (3, 2, 3), (4, 4, 3), (2, 5, 4)]
+    for kind, (mode, build) in GADGET_KINDS.items():
+        rng = substream(5, f"pin:{kind}")
+        for t in (None, 2, 3, 4):
+            for sparsify in (False, True):
+                for na, nb, d in sizes + [tuple(rng.randint(0, 5) for _ in "abd") for _ in range(12)]:
+                    inst = random_instance(na, nb, d, mode, rng, density=rng.choice((0.3, 0.5, 0.8)))
+                    try:
+                        out = build(inst, Namespace(t=t, sparsify=sparsify))
+                    except GadgetError as exc:
+                        digest.update(f"error {exc}\n".encode())
+                        continue
+                    digest.update(write_graph(out.graph).encode())
+                    digest.update(out.to_sidecar_json().encode())
+                    digest.update(repr(out.expected()).encode())
+    for size in range(1, 9):
+        for t in (1, 2, 3):
+            g, info = build_dg(size, t)
+            digest.update(write_graph(g).encode())
+            digest.update(json.dumps(info, sort_keys=True).encode())
+    assert digest.hexdigest() == GADGET_DIGEST

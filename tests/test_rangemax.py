@@ -73,7 +73,7 @@ def test_three_layer_exhaustive_tiny():
                 inst = ThreeLayerInstance([list(r) for r in d_ab], [list(r) for r in d_bc])
                 want = three_layer_brute(inst)
                 got = three_layer_farthest(inst)
-                assert [v for v, _ in got] == [v for v, _ in want]
+                assert got == want
 
 
 def shifted_copies(rng, count, bases):
@@ -107,19 +107,4 @@ def test_three_layer_random_with_infinities():
         cols = shifted_copies(rng, nc, bases(nb))
         insts.append(ThreeLayerInstance(shifted_copies(rng, na, bases(nb)), [list(r) for r in zip(*cols)]))
     for inst in insts:
-        got = three_layer_farthest(inst)
-        assert got == three_layer_brute(inst)
-        for a, (value, c) in enumerate(got):
-            assert min(inst.d_ab[a][b] + inst.d_bc[b][c] for b in range(inst.nb)) == value
-
-
-def test_three_layer_witness_attains_value():
-    rng = random.Random(21)
-    inst = ThreeLayerInstance(
-        [[rng.randint(0, 5) for _ in range(4)] for _ in range(3)],
-        [[rng.randint(0, 5) for _ in range(4)] for _ in range(4)],
-    )
-    got = three_layer_farthest(inst)
-    for a, (value, c) in enumerate(got):
-        via = min(inst.d_ab[a][b] + inst.d_bc[b][c] for b in range(inst.nb))
-        assert via == value
+        assert three_layer_farthest(inst) == three_layer_brute(inst)
