@@ -37,6 +37,11 @@ from .oracle import (
 )
 
 
+# The constant c of the sample sizes, c·√n·ln n (source radius) and
+# c·n^(1−ε)·ln n (min-diameter), behind their high-probability guarantees.
+SAMPLE_C = 2
+
+
 @dataclass
 class ApproxResult:
     estimate: "int | float"
@@ -45,7 +50,7 @@ class ApproxResult:
     whp: bool
 
 
-def approx_source_radius(g, rng, c=2):
+def approx_source_radius(g, rng):
     """2-approximation of the source radius R = min_v max_u d(v -> u).
 
     Deterministically estimate >= R; estimate <= 2R with high probability.
@@ -55,7 +60,7 @@ def approx_source_radius(g, rng, c=2):
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    size1 = min(n, max(1, math.ceil(c * math.sqrt(n) * math.log(n)))) if n > 1 else 1
+    size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n)))) if n > 1 else 1
     s1 = sorted(sample_vertex_set(n, size1, rng))
     ecc1, near = sampled_ecc(g, SOURCE, s1)
 
@@ -69,7 +74,7 @@ def approx_source_radius(g, rng, c=2):
     return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
 
 
-def approx_min_diameter(g, rng, epsilon, c=2):
+def approx_min_diameter(g, rng, epsilon):
     """Sampled lower bound on the min-diameter of an unweighted digraph.
 
     Deterministically estimate <= D; D <= max(3, n^epsilon) * estimate with
@@ -82,7 +87,7 @@ def approx_min_diameter(g, rng, epsilon, c=2):
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    size = min(n, max(1, math.ceil(c * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
+    size = min(n, max(1, math.ceil(SAMPLE_C * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
     sample = sorted(sample_vertex_set(n, size, rng))
     ecc, _ = sampled_ecc(g, MIN, sample)
     est = 1 if g.has_edge() else 0
@@ -98,31 +103,18 @@ def approx_min_diameter(g, rng, epsilon, c=2):
     return ApproxResult(est, witness, (Fraction(1), factor), whp=True)
 
 
-def _dag_interval_dist_from(g, pos_lo, pos_hi, src):
-    """d(src -> v) inside the induced topological interval [pos_lo, pos_hi].
+def _dag_interval_dist(adj, order, pos_lo, pos_hi, root):
+    """Distances between root and the vertices of ``order`` inside the
+    induced topological interval [pos_lo, pos_hi], in one scan: with adj_in
+    and the positions above root in increasing order, d(root -> v); with
+    adj_out and the positions below root in decreasing order, d(v -> root).
 
     Vertex ids must already be topological positions.
     """
-    dist = {src: 0}
-    adj_in = g.adj_in
-    for v in range(src + 1, pos_hi + 1):
+    dist = {root: 0}
+    for v in order:
         best = INF
-        for u, w in adj_in[v]:
-            if pos_lo <= u <= pos_hi and u in dist:
-                d = dist[u] + w
-                if d < best:
-                    best = d
-        if best < INF:
-            dist[v] = best
-    return dist
-
-
-def _dag_interval_dist_to(g, pos_lo, pos_hi, dst):
-    dist = {dst: 0}
-    adj_out = g.adj_out
-    for v in range(dst - 1, pos_lo - 1, -1):
-        best = INF
-        for u, w in adj_out[v]:
+        for u, w in adj[v]:
             if pos_lo <= u <= pos_hi and u in dist:
                 d = dist[u] + w
                 if d < best:
@@ -149,8 +141,8 @@ def approx_min_diameter_dag(g):
         if hi - lo < 1:
             continue
         w = (lo + hi) // 2
-        into = _dag_interval_dist_to(h, lo, hi, w)
-        outof = _dag_interval_dist_from(h, lo, hi, w)
+        into = _dag_interval_dist(h.adj_out, range(w - 1, lo - 1, -1), lo, hi, w)
+        outof = _dag_interval_dist(h.adj_in, range(w + 1, hi + 1), lo, hi, w)
         for v in range(lo, w):
             best = max(best, into.get(v, INF))
         for v in range(w + 1, hi + 1):
@@ -228,8 +220,8 @@ def approximate_center(g, r):
 
     intervals = []
     for a in anchors:
-        into = _dag_interval_dist_to(g, 0, n - 1, a)
-        outof = _dag_interval_dist_from(g, 0, n - 1, a)
+        into = _dag_interval_dist(g.adj_out, range(a - 1, -1, -1), 0, n - 1, a)
+        outof = _dag_interval_dist(g.adj_in, range(a + 1, n), 0, n - 1, a)
         ok = True
         first_bad = None
         last_bad = None
@@ -259,8 +251,8 @@ def approximate_center(g, r):
         a0 = intervals[i][0]
         d0 = intervals[i + 1][1]
         for u in range(b + 1, c):
-            into = _dag_interval_dist_to(g, a0, d0, u)
-            outof = _dag_interval_dist_from(g, a0, d0, u)
+            into = _dag_interval_dist(g.adj_out, range(u - 1, a0 - 1, -1), a0, d0, u)
+            outof = _dag_interval_dist(g.adj_in, range(u + 1, d0 + 1), a0, d0, u)
             good = True
             for v in range(a0, d0 + 1):
                 if min(into.get(v, INF), outof.get(v, INF)) > r:

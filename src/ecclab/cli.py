@@ -1,7 +1,9 @@
 """Command-line front end: generation, exact/approximate solving, the
 treewidth solver, the 2-vs-3 reduction and sidecar verification.
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage error, 3 capacity
+Each subcommand takes only the flags it reads: the shared ones it names from
+SHARED_FLAGS (see build_parser) plus its own.  Exit codes: 0 success/PASS,
+1 verification FAIL, 2 usage error (an unknown flag among them), 3 capacity
 cap exceeded.  All randomness flows from --seed through named substreams, so
 one seed reproduces a run byte for byte.
 """
@@ -109,7 +111,7 @@ def _write_text(path, text):
 
 
 def _emit(args, text):
-    if getattr(args, "output", None):
+    if args.output:
         _write_text(args.output, text)
     else:
         sys.stdout.write(text)
@@ -126,6 +128,16 @@ def _load_graph(args):
 
 class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
+
+
+def _eccentricities(g, variant, cap):
+    """The level sweep's report, or the matrix path's where the sweep gives up."""
+    return sweep_eccentricities(g, variant, cap) or exact_eccentricities(g, variant, cap=cap)
+
+
+def _median(g, cap):
+    """The level sweep's (vertex, sum), or the matrix path's where the sweep gives up."""
+    return sweep_median(g, cap) or exact_median(g, cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +191,14 @@ def cmd_gen(args):
 def cmd_exact(args):
     g = _load_graph(args)
     if args.quantity == "median":
-        vertex, total = sweep_median(g, args.cap) or exact_median(g, cap=args.cap)
+        vertex, total = _median(g, args.cap)
         enc = "inf" if total == INF else total
         if args.format == "json":
             _emit(args, json.dumps({"median": vertex, "sum": enc}, sort_keys=True) + "\n")
         else:
             _emit(args, f"median\tsum\n{vertex}\t{enc}\n")
         return 0
-    report = sweep_eccentricities(g, args.variant, args.cap) or exact_eccentricities(
-        g, args.variant, cap=args.cap
-    )
+    report = _eccentricities(g, args.variant, args.cap)
     _emit(args, report.to_json() if args.format == "json" else report.to_tsv())
     return 0
 
@@ -280,15 +290,13 @@ def cmd_reduce(args):
 
 def _verified_value(g, quantity, variant, args):
     if quantity == "median":
-        _, total = sweep_median(g, args.cap) or exact_median(g, cap=args.cap)
+        _, total = _median(g, args.cap)
         return total
     if args.td:
         td = read_td(_read_text(args.td))
         report = tw_eccentricities(g, td, variant)
     else:
-        report = sweep_eccentricities(g, variant, args.cap) or exact_eccentricities(
-            g, variant, cap=args.cap
-        )
+        report = _eccentricities(g, variant, args.cap)
     if quantity == "radius":
         return report.radius
     if quantity == "diameter":
@@ -342,13 +350,16 @@ def cmd_verify(args):
 # argument plumbing
 
 
-def _add_common(p):
-    p.add_argument("--input", help="input graph file")
-    p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--variant", choices=VARIANTS, default="undirected")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle capacity cap")
+# The flags that several subcommands share.  A subcommand names the ones it
+# reads, so a flag it would ignore is an unknown flag (exit 2).
+SHARED_FLAGS = {
+    "input": dict(help="input graph file"),
+    "output": dict(help="output file (default stdout)"),
+    "variant": dict(choices=VARIANTS, default="undirected"),
+    "seed": dict(type=int, default=0),
+    "format": dict(choices=("json", "tsv"), default="tsv"),
+    "cap": dict(type=int, default=DEFAULT_CAP, help="oracle capacity cap"),
+}
 
 
 @functools.cache
@@ -356,9 +367,15 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="ecclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a graph (gadget, partial k-tree, or DAG block)",
-                       conflict_handler="resolve")
-    _add_common(p)
+    def subcommand(name, func, shared, help):
+        p = sub.add_parser(name, help=help)
+        for flag in shared.split():
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = subcommand("gen", cmd_gen, "seed",
+                   "generate a graph (gadget, partial k-tree, or DAG block)")
     p.add_argument("--output", help="path prefix of the files written (required): <prefix>.graph, "
                    "plus .td for partial-ktree or .json and .ss for a gadget")
     p.add_argument("--kind", required=True)
@@ -373,36 +390,28 @@ def build_parser():
     p.add_argument("--edge-keep-prob", type=float, default=0.8)
     p.add_argument("--size", type=int, default=8)
     p.add_argument("--directed", action="store_true")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("exact", help="exact eccentricities or median")
-    _add_common(p)
+    p = subcommand("exact", cmd_exact, "input output variant format cap",
+                   "exact eccentricities or median")
     p.add_argument("--quantity", choices=("eccentricities", "median"), default="eccentricities")
-    p.set_defaults(func=cmd_exact)
 
-    p = sub.add_parser("approx", help="approximation algorithms")
-    _add_common(p)
+    p = subcommand("approx", cmd_approx, "input output seed format", "approximation algorithms")
     p.add_argument("--algorithm", choices=APPROX_ALGORITHMS, required=True)
     p.add_argument("--epsilon", type=float, default=0.5)
-    p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("tw", help="exact eccentricities via a tree decomposition")
-    _add_common(p)
+    p = subcommand("tw", cmd_tw, "input output variant format",
+                   "exact eccentricities via a tree decomposition")
     p.add_argument("--td", help="decomposition file (default: greedy heuristic)")
-    p.set_defaults(func=cmd_tw)
 
-    p = sub.add_parser("reduce", help="2-vs-3 decision via the hashing reduction")
-    _add_common(p)
+    p = subcommand("reduce", cmd_reduce, "input output seed format",
+                   "2-vs-3 decision via the hashing reduction")
     p.add_argument("--target", choices=(DIAMETER, RADIUS), required=True)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--rounds", type=int, default=20)
-    p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("verify", help="recompute a sidecar's promise and compare")
-    _add_common(p)
+    p = subcommand("verify", cmd_verify, "input cap", "recompute a sidecar's promise and compare")
     p.add_argument("--sidecar", help="sidecar JSON file")
     p.add_argument("--td", help="use this decomposition instead of the oracle")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

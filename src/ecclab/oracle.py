@@ -186,33 +186,23 @@ class EccentricityReport:
         )
 
 
-def report_from_ecc(variant, ecc, witness=None):
-    """Radius/diameter/center bookkeeping shared by the oracle and the
-    treewidth solver.  Ties break toward the smallest vertex id."""
-    if not ecc:
-        raise ValueError("empty graph has no eccentricities")
-    radius = min(ecc)
-    diameter = max(ecc)
-    center = ecc.index(radius)
-    return EccentricityReport(variant, list(ecc), radius, diameter, center, witness)
-
-
-def _report_with_witness(variant, ecc, rows):
-    """report_from_ecc with the witness: the lexicographically smallest pair
-    (u, v), u != v, attaining the diameter.  rows(u) gives u's out-row
-    d(u -> .) and in-row d(. -> u)."""
-    report = report_from_ecc(variant, ecc)
+def _report(variant, ecc, rows):
+    """The report of ``ecc``.  Ties for the center break toward the smallest
+    vertex id; the witness is the lexicographically smallest pair (u, v),
+    u != v, attaining the diameter.  rows(u) gives u's out-row d(u -> .) and
+    in-row d(. -> u)."""
+    radius, diameter = min(ecc), max(ecc)
+    witness = None
     if len(ecc) > 1:
         # A pair attaining the diameter starts at a vertex whose eccentricity
         # is the diameter, so the first such vertex holds the smallest pair.
-        diameter = report.diameter
         u = ecc.index(diameter)
         row = list(pair_row(variant, *rows(u)))
         v = row.index(diameter)
         if v == u:
             v = row.index(diameter, u + 1)
-        report.witness = (u, v)
-    return report
+        witness = (u, v)
+    return EccentricityReport(variant, list(ecc), radius, diameter, ecc.index(radius), witness)
 
 
 def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
@@ -229,7 +219,7 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     else:
         # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
         ecc = [max(pair_row(variant, row, col)) for row, col in zip(mat, zip(*mat))]
-    return _report_with_witness(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
+    return _report(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
 
 
 def exact_median(g, cap=DEFAULT_CAP):
@@ -439,14 +429,17 @@ def _roundtrip_ecc(g, budget):
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
-    """The report of ``exact_eccentricities``, witness included, from
-    ``sweep_ecc``, or None where that is None.  The witness comes from one
-    shortest-path run each way from the first vertex whose eccentricity is
-    the diameter."""
+    """The report of ``exact_eccentricities`` from ``sweep_ecc``, or None
+    where that is None."""
     ecc = sweep_ecc(g, variant, cap, budget)
-    if ecc is None:
-        return None
-    return _report_with_witness(variant, ecc, lambda u: _rows(g, variant, u))
+    return None if ecc is None else eccentricity_report(g, variant, ecc)
+
+
+def eccentricity_report(g, variant, ecc):
+    """The report of ``exact_eccentricities`` from the eccentricities ``ecc``
+    of g.  The witness comes from one shortest-path run each way from the
+    first vertex whose eccentricity is the diameter."""
+    return _report(variant, ecc, lambda u: _rows(g, variant, u))
 
 
 def _rows(g, variant, u):

@@ -39,9 +39,9 @@ from .oracle import (
     SOURCE,
     UNDIRECTED,
     check_variant,
+    eccentricity_report,
     exact_eccentricities,
     pair_row,
-    report_from_ecc,
     sweep_ecc,
 )
 from .rangemax import ThreeLayerInstance, three_layer_farthest
@@ -509,9 +509,10 @@ def _solve(g, td, variant):
 def tw_eccentricities(g, td, variant):
     """Exact eccentricities using the tree decomposition.
 
-    Matches the brute-force oracle on every input; the decomposition only
-    affects the running time.  It is validated once, then normalised.
+    Matches the brute-force oracle on every input, witness included; the
+    decomposition only affects the running time.  It is validated once, then
+    normalised.
     """
     check_variant(g, variant)
     td.validate(g)
-    return report_from_ecc(variant, _solve(g, _normalize(td), variant))
+    return eccentricity_report(g, variant, _solve(g, _normalize(td), variant))

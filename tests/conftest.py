@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import random
 
+from ecclab.cli import build_parser
 from ecclab.graph import INF, Graph, shortest_paths
 from ecclab.oracle import EccentricityReport
 from ecclab.reduce23 import (
@@ -190,3 +192,10 @@ def reference_reduce23(g, target, rng, delta=None, rounds=20):
         return ReductionResult(2, RADIUS, survivors[0], used, delta, width, high,
                                notes="hashed rounds")
     return ReductionResult(3, RADIUS, None, used, delta, width, high)
+
+
+def cli_flags():
+    """Each ecclab subcommand's flags, as build_parser() defines them."""
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in action.choices.items()}

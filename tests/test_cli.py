@@ -4,7 +4,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ecclab.cli import SystemExit2, _read_sidecar, main
+from conftest import cli_flags
+from ecclab.cli import SHARED_FLAGS, SystemExit2, _read_sidecar, main
+from ecclab.graph import Graph, write_graph
+from ecclab.oracle import VARIANTS
+from ecclab.seeds import substream
+from ecclab.treewidth import generate_partial_ktree
 
 
 def run(args, capsys):
@@ -135,6 +140,65 @@ def test_gen_output_help_names_the_prefix(capsys):
     assert "default stdout" not in help_text
     assert main(["exact", "--help"]) == 0
     assert "output file (default stdout)" in capsys.readouterr().out
+
+
+# The flags each subcommand reads: the shared ones it names, then its own.
+SUBCOMMAND_FLAGS = {
+    "gen": ("seed", "output", "kind", "na", "nb", "d", "density", "t", "sparsify", "n", "k",
+            "edge-keep-prob", "size", "directed"),
+    "exact": ("input", "output", "variant", "format", "cap", "quantity"),
+    "approx": ("input", "output", "seed", "format", "algorithm", "epsilon"),
+    "tw": ("input", "output", "variant", "format", "td"),
+    "reduce": ("input", "output", "seed", "format", "target", "delta", "rounds"),
+    "verify": ("input", "cap", "sidecar", "td"),
+}
+# Arguments that get each subcommand past its required flags.
+REQUIRED = {
+    "gen": ["--kind", "dg"],
+    "exact": [],
+    "approx": ["--algorithm", "source-radius"],
+    "tw": [],
+    "reduce": ["--target", "radius"],
+    "verify": [],
+}
+SHARED_VALUES = {"input": "g.graph", "output": "out", "variant": "max", "seed": "1",
+                 "format": "json", "cap": "5"}
+DROPPED = [(name, flag) for name, flags in SUBCOMMAND_FLAGS.items()
+           for flag in SHARED_FLAGS if flag not in flags]
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    assert cli_flags() == {name: {f"--{f}" for f in flags}
+                           for name, flags in SUBCOMMAND_FLAGS.items()}
+    assert len(DROPPED) == 15
+
+
+@pytest.mark.parametrize("name, flag", DROPPED, ids=[f"{n}--{f}" for n, f in DROPPED])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, name, flag):
+    assert main([name, *REQUIRED[name], f"--{flag}", SHARED_VALUES[flag]]) == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+
+def test_tw_json_is_byte_equal_to_exact_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ktree, _ = generate_partial_ktree(40, 2, 1.0, substream(1, "tw-vs-exact"))
+    graphs = {
+        "ktree": ktree,
+        "one-vertex": Graph(1, [], undirected=True),
+        # Two components each: every eccentricity and the diameter are INF.
+        "disconnected": Graph(5, [(0, 1), (2, 3), (3, 4)], undirected=True),
+        "disconnected-directed": Graph(4, [(0, 1, 2), (1, 0, 1), (2, 3, 3)]),
+    }
+    for name, g in graphs.items():
+        (tmp_path / f"{name}.graph").write_text(write_graph(g))
+        for variant in VARIANTS if g.undirected else VARIANTS[1:]:
+            outs = []
+            for command in ("tw", "exact"):
+                argv = [command, "--input", f"{name}.graph", "--variant", variant, "--format", "json"]
+                assert main(argv) == 0, argv
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], (name, variant)
+            assert ('"diameter": "inf"' in outs[0]) == name.startswith("disconnected")
 
 
 def test_missing_input_is_usage_error(capsys):

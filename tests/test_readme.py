@@ -1,10 +1,12 @@
 """README's examples run as written: the library block as Python, and each
-`ecclab ...` line of the CLI block through `cli.main`."""
+`ecclab ...` line of the CLI block through `cli.main`.  Its per-subcommand
+flag list matches the parser."""
 
 import re
 import shlex
 from pathlib import Path
 
+from conftest import cli_flags
 from ecclab.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -26,3 +28,9 @@ def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
     assert lines
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_flag_list_matches_the_parser():
+    items = re.findall(r"^- `(\w+)`: (.*?)\.\n(?=-|\n)", README, re.M | re.S)
+    listed = {name: set(re.findall(r"`(--[\w-]+)", flags)) for name, flags in items}
+    assert listed == cli_flags()
