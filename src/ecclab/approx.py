@@ -9,6 +9,7 @@ noted.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +27,8 @@ from .graph import (
     truncated_shortest_paths,
 )
 from .oracle import (
-    MAX,
     MIN,
-    ROUNDTRIP,
     SOURCE,
-    UNDIRECTED,
-    check_variant,
     pair_row,
     sampled_ecc,
 )
@@ -167,39 +164,28 @@ def finite_min_eccentricities(g):
     comp, dag = condense_scc(g)
     order = topological_order(dag)
     k = dag.n
-    pos = [0] * k
-    for i, v in enumerate(order):
-        pos[v] = i
 
-    def pass_ok(adj, order, pos):
-        # ok[i]: every node at position j < i has an edge to a position <= i.
-        first = [min((pos[v] for v, _ in adj[node]), default=k) for node in order]
+    def covered(adj, order):
+        # covered[i]: every node at position j < i has an edge to a position <= i.
+        pos = [0] * k
+        for i, v in enumerate(order):
+            pos[v] = i
         diff = [0] * (k + 1)
-        for j, f in enumerate(first):
-            # j blocks positions i with j < i < f  (and all i > j if no edge).
-            lo, hi = j + 1, f - 1
-            if lo <= hi:
-                diff[lo] += 1
-                diff[min(hi, k - 1) + 1] -= 1
-        ok = [False] * k
-        run = 0
-        for i in range(k):
-            run += diff[i]
-            ok[i] = run == 0
-        return ok
+        for j, node in enumerate(order):
+            # j blocks the positions strictly between j and its first
+            # neighbor's (all positions after j if it has none).
+            first = min((pos[v] for v, _ in adj[node]), default=k)
+            if j + 1 < first:
+                diff[j + 1] += 1
+                diff[first] -= 1
+        return [run == 0 for run in itertools.accumulate(diff[:k])]
 
-    ok_before = pass_ok(dag.adj_out, order, pos)
-
-    # Symmetric pass on the reversed order with in-edges.
-    rev_order = list(reversed(order))
-    rpos = [0] * k
-    for i, v in enumerate(rev_order):
-        rpos[v] = i
-    ok_after = pass_ok(dag.adj_in, rev_order, rpos)
-
+    # The symmetric pass runs on the reversed order with in-edges.
+    before = covered(dag.adj_out, order)
+    after = covered(dag.adj_in, order[::-1])[::-1]
     node_ok = [False] * k
-    for i in range(k):
-        node_ok[order[i]] = ok_before[i] and ok_after[rpos[order[i]]]
+    for i, v in enumerate(order):
+        node_ok[v] = before[i] and after[i]
     return [node_ok[comp[v]] for v in range(g.n)]
 
 
@@ -222,22 +208,12 @@ def approximate_center(g, r):
     for a in anchors:
         into = _dag_interval_dist(g.adj_out, range(a - 1, -1, -1), 0, n - 1, a)
         outof = _dag_interval_dist(g.adj_in, range(a + 1, n), 0, n - 1, a)
-        ok = True
-        first_bad = None
-        last_bad = None
-        for v in range(n):
-            din = into.get(v, INF) if v <= a else INF
-            dout = outof.get(v, INF) if v >= a else INF
-            if min(din, dout) > 2 * r:
-                ok = False
-            if v < a and into.get(v, INF) > 2 * r and first_bad is None:
-                first_bad = v
-            if v > a and outof.get(v, INF) > 2 * r:
-                last_bad = v
-        if ok:
+        # [lo, hi] spans the vertices farther than 2r from a: the first one
+        # before a and the last one after it.
+        lo = next((v for v in range(a) if into.get(v, INF) > 2 * r), a)
+        hi = next((v for v in range(n - 1, a, -1) if outof.get(v, INF) > 2 * r), a)
+        if lo == hi == a:
             return a
-        lo = first_bad if first_bad is not None else a
-        hi = last_bad if last_bad is not None else a
         if intervals and lo <= intervals[-1][1] + 1:
             plo, phi = intervals.pop()
             intervals.append((plo, max(phi, hi)))
@@ -245,20 +221,11 @@ def approximate_center(g, r):
             intervals.append((lo, hi))
 
     # Scan the gaps between excluded intervals.
-    for i in range(len(intervals) - 1):
-        _, b = intervals[i]
-        c, _ = intervals[i + 1]
-        a0 = intervals[i][0]
-        d0 = intervals[i + 1][1]
+    for (a0, b), (c, d0) in zip(intervals, intervals[1:]):
         for u in range(b + 1, c):
             into = _dag_interval_dist(g.adj_out, range(u - 1, a0 - 1, -1), a0, d0, u)
             outof = _dag_interval_dist(g.adj_in, range(u + 1, d0 + 1), a0, d0, u)
-            good = True
-            for v in range(a0, d0 + 1):
-                if min(into.get(v, INF), outof.get(v, INF)) > r:
-                    good = False
-                    break
-            if good:
+            if all(min(into.get(v, INF), outof.get(v, INF)) <= r for v in range(a0, d0 + 1)):
                 return u
     return None
 
@@ -268,48 +235,26 @@ def approx_min_radius_dag(g):
 
     Returns the smallest threshold r for which a center was found; then
     R <= min-ecc(witness) <= 3R where R is the exact min-radius, and the
-    estimate r satisfies r <= R.  Estimate is INF when every vertex has
-    infinite min-eccentricity.
+    estimate r satisfies r <= R.  A binary search finds r with one
+    approximate_center probe per threshold.  Estimate is INF when every
+    vertex has infinite min-eccentricity.
     """
     h, back = relabel_topological(g)
     n = h.n
     if n <= 1:
         return ApproxResult(0, back[0] if n else None, (Fraction(1), Fraction(3)), whp=False)
     hi = h.max_weight * n
-    if approximate_center(h, hi) is None:
+    found = approximate_center(h, hi)
+    if found is None:
         return ApproxResult(INF, None, (Fraction(1), Fraction(3)), whp=False)
+    # Invariant: lo == 0 or the probe at lo - 1 returned None, so at the end
+    # every vertex has min-eccentricity > hi - 1, that is, hi <= R.
     lo = 0
-    found = None
     while lo < hi:
         mid = (lo + hi) // 2
         v = approximate_center(h, mid)
         if v is not None:
-            found = v
-            hi = mid
+            found, hi = v, mid
         else:
             lo = mid + 1
-    # The search predicate is not proven monotone; walk down to certify that
-    # the threshold below the answer really excludes every vertex.
-    while hi > 0:
-        v = approximate_center(h, hi - 1)
-        if v is None:
-            break
-        found = v
-        hi -= 1
-    if found is None:
-        found = approximate_center(h, hi)
     return ApproxResult(hi, back[found], (Fraction(1), Fraction(3)), whp=False)
-
-
-def trivial_metric_estimate(g, variant, probe=0):
-    """Eccentricity of a probe vertex, a 2-approximation of the radius for
-    the metric variants (undirected, max, roundtrip)."""
-    check_variant(g, variant)
-    if variant not in (UNDIRECTED, MAX, ROUNDTRIP):
-        raise ValueError("trivial_metric_estimate needs a metric variant")
-    if not 0 <= probe < g.n:
-        raise ValueError("probe out of range")
-    fwd = shortest_paths(g, probe, FORWARD)
-    bwd = shortest_paths(g, probe, BACKWARD) if variant != UNDIRECTED else fwd
-    e = max(pair_row(variant, fwd, bwd))
-    return ApproxResult(e, probe, (Fraction(1), Fraction(2)), whp=False)

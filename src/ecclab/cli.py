@@ -3,9 +3,9 @@ treewidth solver, the 2-vs-3 reduction and sidecar verification.
 
 Each subcommand takes only the flags it reads: the shared ones it names from
 SHARED_FLAGS (see build_parser) plus its own.  Exit codes: 0 success/PASS,
-1 verification FAIL, 2 usage error (an unknown flag among them), 3 capacity
-cap exceeded.  All randomness flows from --seed through named substreams, so
-one seed reproduces a run byte for byte.
+1 verification FAIL, 2 usage error (an unknown or abbreviated flag among
+them), 3 capacity cap exceeded.  All randomness flows from --seed through
+named substreams, so one seed reproduces a run byte for byte.
 """
 
 from __future__ import annotations
@@ -290,6 +290,8 @@ def cmd_reduce(args):
 
 def _verified_value(g, quantity, variant, args):
     if quantity == "median":
+        if args.td:
+            raise SystemExit2("--td cannot verify a median sidecar: the tw solver has no median")
         _, total = _median(g, args.cap)
         return total
     if args.td:
@@ -364,11 +366,11 @@ SHARED_FLAGS = {
 
 @functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(prog="ecclab")
+    parser = argparse.ArgumentParser(prog="ecclab", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def subcommand(name, func, shared, help):
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
         for flag in shared.split():
             p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
         p.set_defaults(func=func)

@@ -193,65 +193,50 @@ def condense_scc(g):
     """Strongly connected components plus the condensation DAG.
 
     Returns (comp, dag) where comp[v] is the component id of v and dag is a
-    Graph over the components.  Component ids are renumbered by the smallest
-    original vertex they contain, which makes the result deterministic.
+    Graph over the components, with the lightest arc from one component to
+    another.  Kosaraju's two searches find the components: a depth-first
+    search over out-arcs gives a finish order, then in reverse finish order
+    each search over in-arcs from an unlabeled vertex labels one component.
+    Component ids are renumbered by the smallest original vertex they
+    contain, which makes the result deterministic.
     """
     n = g.n
-    adj = g.adj_out
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp = [-1] * n
-    counter = 0
-    ncomp = 0
+    adj_out, adj_in = g.adj_out, g.adj_in
+    seen = [False] * n
+    finish = []
     for root in range(n):
-        if index[root] != -1:
+        if seen[root]:
             continue
-        # Iterative Tarjan.
-        work = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(adj_out[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi][0]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, arcs = work[-1]
+            for w, _ in arcs:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(adj_out[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:
+                work.pop()
+                finish.append(v)
 
-    # Renumber components by smallest member id.
-    smallest = [n] * ncomp
-    for v in range(n):
-        smallest[comp[v]] = min(smallest[comp[v]], v)
-    order = sorted(range(ncomp), key=lambda c: smallest[c])
-    relabel = [0] * ncomp
-    for new, old in enumerate(order):
-        relabel[old] = new
-    comp = [relabel[c] for c in comp]
+    comp = [-1] * n
+    for root in reversed(finish):
+        if comp[root] != -1:
+            continue
+        comp[root] = root
+        work = [root]
+        while work:
+            for w, _ in adj_in[work.pop()]:
+                if comp[w] == -1:
+                    comp[w] = root
+                    work.append(w)
+
+    # Renumber components by smallest member id: in increasing vertex order
+    # a component first shows up at its smallest member.
+    relabel = {}
+    comp = [relabel.setdefault(c, len(relabel)) for c in comp]
+    ncomp = len(relabel)
 
     best = {}
     for u, v, w in g.directed_edges():

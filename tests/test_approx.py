@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -10,6 +11,7 @@ from conftest import (
     random_digraph,
     reference_eccentricities,
 )
+from ecclab import approx
 from ecclab.approx import (
     approx_min_diameter,
     approx_min_diameter_dag,
@@ -17,13 +19,13 @@ from ecclab.approx import (
     approx_source_radius,
     approximate_center,
     finite_min_eccentricities,
-    trivial_metric_estimate,
 )
 from ecclab.graph import (
     BACKWARD,
     FORWARD,
     INF,
     Graph,
+    condense_scc,
     relabel_topological,
     sample_vertex_set,
     shortest_paths,
@@ -204,13 +206,63 @@ def test_min_radius_dag_three_approx():
         assert ecc_w <= 3 * max(rep.radius, 1) or ecc_w == rep.radius
 
 
-def test_trivial_metric_estimate_bounds():
-    for seed in range(20):
-        rng = random.Random(seed)
-        g = random_digraph(rng, 15, 60)
-        for variant in ("max", "roundtrip"):
-            rep = exact_eccentricities(g, variant)
-            res = trivial_metric_estimate(g, variant)
-            assert rep.radius <= res.estimate
-            if rep.radius != INF:
-                assert res.estimate <= 2 * rep.radius
+def _shuffled_dag(rng, n, m, max_weight):
+    """A random DAG whose vertex ids are not already a topological order."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v], w) for u, v, w in random_dag(rng, n, m, max_weight).edges])
+
+
+# sha256 over approx_min_radius_dag, approximate_center (r = 0..8) and
+# finite_min_eccentricities on seeded random DAGs, and over condense_scc on
+# seeded random graphs with zero-weight arcs, so a rewrite of these routines
+# must leave every output unchanged.
+DAG_DIGEST = "37f10bde3e7ddf306a9ba676cb83a377773db3bc56c79a949888ff6d827dcbab"
+
+
+def test_dag_outputs_pinned():
+    digest = hashlib.sha256()
+    rng = random.Random(15)
+    for _ in range(150):
+        n = rng.randint(1, 40)
+        g = _shuffled_dag(rng, n, rng.randint(0, n * n // 2), rng.choice((1, 3)))
+        res = approx_min_radius_dag(g)
+        h, _ = relabel_topological(g)
+        centers = [approximate_center(h, r) for r in range(9)]
+        digest.update(repr((res.estimate, res.witness, centers, finite_min_eccentricities(g))).encode())
+    for _ in range(400):
+        g = mixed_graph(rng, 30, 3)
+        comp, dag = condense_scc(g)
+        digest.update(repr((comp, dag.n, dag.edges)).encode())
+    assert digest.hexdigest() == DAG_DIGEST
+
+
+def test_min_radius_dag_probes_each_threshold_once(monkeypatch):
+    probes = []
+
+    def counting(h, r):
+        probes.append(r)
+        return approximate_center(h, r)
+
+    monkeypatch.setattr(approx, "approximate_center", counting)
+    rng = random.Random(7)
+    for _ in range(40):
+        probes.clear()
+        n = rng.randint(2, 30)
+        approx_min_radius_dag(_shuffled_dag(rng, n, rng.randint(0, n * n // 2), rng.choice((1, 3))))
+        assert len(probes) == len(set(probes)), probes
+
+
+def test_min_radius_dag_witness_is_the_center_at_the_estimate():
+    rng = random.Random(8)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        g = _shuffled_dag(rng, n, rng.randint(0, n * n // 2), rng.choice((1, 3)))
+        res = approx_min_radius_dag(g)
+        if res.estimate == INF:
+            assert res.witness is None
+            continue
+        h, back = relabel_topological(g)
+        assert res.witness == back[approximate_center(h, res.estimate)]
+        if res.estimate > 0:
+            assert approximate_center(h, res.estimate - 1) is None

@@ -179,6 +179,20 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, name, flag):
     assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact", "--in", "k.graph"],
+    ["exact", "--input", "k.graph", "--var", "max", "--form", "json", "--out", "o.json"],
+    ["gen", "--kind", "dg", "--out", "x"],
+    ["verify", "--input", "k.graph", "--side", "k.json"],
+], ids=["exact-in", "exact-var-form-out", "gen-out", "verify-side"])
+def test_an_abbreviated_flag_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # Only a flag's full spelling is accepted.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.graph").write_text(write_graph(Graph(3, [(0, 1), (1, 2)], undirected=True)))
+    assert main(argv) == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+
+
 def test_tw_json_is_byte_equal_to_exact_json(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     ktree, _ = generate_partial_ktree(40, 2, 1.0, substream(1, "tw-vs-exact"))
@@ -257,12 +271,16 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
         {"quantity": "foo", "variant": "undirected", "answer": True, "eq_side": "yes",
          "yes_value": 2, "no_bound": 3})},
      ["verify", "--input", "g.graph", "--sidecar", "g.json", "--cap", "2"]),
+    ({"g.graph": "p 3 2 U 1\n0 1\n1 2\n", "g.json": json.dumps(
+        {"quantity": "median", "variant": "undirected", "answer": True, "eq_side": "yes",
+         "yes_value": 2, "no_bound": 3})},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json", "--td", "missing.td"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
         "td-edge-extra-field", "approx-dag-cycle", "approx-dag-undirected", "approx-weighted",
         "approx-epsilon-zero", "reduce-rounds-zero", "reduce-rounds-negative",
-        "sidecar-quantity"])
+        "sidecar-quantity", "verify-median-td"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

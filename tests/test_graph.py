@@ -101,6 +101,30 @@ def test_condense_scc_two_cycles():
     assert is_dag(dag)
 
 
+@pytest.mark.parametrize("undirected", [False, True])
+def test_condense_scc_is_mutual_reachability(undirected):
+    # Components are the classes of mutual reachability, numbered by their
+    # smallest member, and the DAG keeps the lightest arc between two of them.
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3)) for _ in range(rng.randint(0, 2 * n))]
+        g = Graph(n, edges, undirected=undirected)
+        dist = floyd_warshall(g)
+        comp, dag = condense_scc(g)
+        for u in range(n):
+            for v in range(n):
+                assert (comp[u] == comp[v]) == (dist[u][v] < INF and dist[v][u] < INF), g.edges
+        assert list(dict.fromkeys(comp)) == list(range(dag.n))
+        lightest = {}
+        for u, v, w in g.directed_edges():
+            if comp[u] != comp[v]:
+                key = (comp[u], comp[v])
+                lightest[key] = min(w, lightest.get(key, INF))
+        assert sorted(dag.edges) == sorted((u, v, w) for (u, v), w in lightest.items())
+        assert is_dag(dag)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 10), st.integers(0, 25), st.integers(1, 4))
 def test_graph_round_trip(seed, n, m, w):

@@ -50,3 +50,22 @@ def test_every_benchmark_command_line_exits_zero(perfbench, tmp_path, capsys):
         for job in inp.jobs + inp.probes:
             assert cli.main(job.argv) == 0, job.argv
     capsys.readouterr()
+
+
+def test_tracer_sees_the_dag_routines(perfbench, tmp_path, capsys):
+    # approx calls approximate_center and condense_scc by its module names,
+    # where the tracer wraps them.
+    tracing = perfbench("tracing")
+    prefix = str(tmp_path / "mr")
+    assert cli.main(["gen", "--kind", "min-radius-dag", "--na", "4", "--nb", "4", "--d", "3",
+                     "--seed", "1", "--output", prefix]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for algorithm in ("min-radius-dag", "finite-min-ecc"):
+            assert cli.main(["approx", "--input", f"{prefix}.graph", "--algorithm", algorithm]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = {tracer.names[i] for i in tracer.name}
+    assert {"approx.center", "graph.scc"} <= spans
