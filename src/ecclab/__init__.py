@@ -9,7 +9,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     condense_scc,
-    is_dag,
     read_graph,
     shortest_paths,
     topological_order,
@@ -86,6 +85,6 @@ from .gadgets import (
     reduce_hse,
 )
 from .reduce23 import ReductionResult, reduce_decision23_to_set_system
-from .seeds import substream, substream_seed
+from .seeds import substream
 
 __version__ = "0.1.0"

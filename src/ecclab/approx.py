@@ -87,7 +87,7 @@ def approx_min_diameter(g, rng, epsilon):
     size = min(n, max(1, math.ceil(SAMPLE_C * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
     sample = sorted(sample_vertex_set(n, size, rng))
     ecc, _ = sampled_ecc(g, MIN, sample)
-    est = 1 if g.has_edge() else 0
+    est = 1 if g.m else 0
     witness = None
     # The witness is the first vertex at the largest distance from the first
     # sampled vertex that attains it, as a scan of the samples in order finds.

@@ -93,9 +93,6 @@ class Graph:
             if self.undirected:
                 yield v, u, w
 
-    def has_edge(self):
-        return bool(self.edges)
-
     def __repr__(self):
         kind = "undirected" if self.undirected else "directed"
         return f"Graph(n={self.n}, m={self.m}, {kind})"
@@ -143,25 +140,9 @@ def truncated_shortest_paths(g, source, k, direction=FORWARD):
 
     Returns a list of (vertex, distance) pairs of length min(k, #reachable).
     """
-    if k <= 0:
-        return []
-    adj = _adjacency(g, direction)
-    dist = {source: 0}
-    settled = []
-    done = set()
-    heap = [(0, source)]
-    while heap and len(settled) < k:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        settled.append((u, d))
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
+    dist = shortest_paths(g, source, direction)
+    near = heapq.nsmallest(k, ((d, v) for v, d in enumerate(dist) if d != INF))
+    return [(v, d) for d, v in near]
 
 
 def topological_order(g):
@@ -183,10 +164,6 @@ def topological_order(g):
     if len(order) != g.n:
         return None
     return order
-
-
-def is_dag(g):
-    return not g.undirected and topological_order(g) is not None
 
 
 def condense_scc(g):

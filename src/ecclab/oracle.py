@@ -6,9 +6,9 @@ Two exact paths compute them.
 The matrix path is the trusted reference the rest of the package is tested
 against, so it stays simple: n single-source runs give the distance matrix,
 then each vertex's eccentricity is one reduction of its row (source,
-undirected) or of its row paired with its column (max, min, roundtrip)
-under the variant's pair combiner, done by the builtins ``max``, ``map`` and
-``sum`` with no Python-level loop per pair.
+undirected) or of its row paired with its column (max, min, roundtrip) by
+``pair_row``, the one definition of the five pair distances, done by the
+builtins ``max``, ``map`` and ``sum`` with no Python-level loop per pair.
 
 The level sweep is the fast path on graphs whose weighted diameter is small
 against n.  It grows, one distance level at a time, a bitmask per vertex, at
@@ -44,12 +44,11 @@ treewidth solver's base cases try it first.
 from __future__ import annotations
 
 import json
-import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import and_, or_
+from operator import add, and_, or_
 
 from .graph import (
     BACKWARD,
@@ -88,39 +87,19 @@ class VariantError(ValueError):
     """Raised for an unknown variant or a variant/graph mismatch."""
 
 
-def _forward(d_uv, d_vu):
-    return d_uv
-
-
-# Each variant's pair distance from u to v as a function of d(u -> v) and
-# d(v -> u), in that order.  Every combiner maps (0, 0) to 0, so a vertex's
-# own diagonal entry never raises its eccentricity.
-PAIR_COMBINERS = {
-    UNDIRECTED: _forward,
-    SOURCE: _forward,
-    MAX: max,
-    MIN: min,
-    ROUNDTRIP: operator.add,
-}
-
-
-def pair_distance(variant, d_uv, d_vu):
-    """Combine the two one-way distances into the variant's pair distance."""
-    if variant not in PAIR_COMBINERS:
-        raise VariantError(f"unknown variant {variant!r}")
-    return PAIR_COMBINERS[variant](d_uv, d_vu)
-
-
 def pair_row(variant, out_row, in_row):
     """The variant's pair distances from a vertex u to every v, as an iterable,
-    given out_row[v] = d(u -> v) and in_row[v] = d(v -> u)."""
+    given out_row[v] = d(u -> v) and in_row[v] = d(v -> u): the one definition
+    of the five.  Each maps (0, 0) to 0, so u's own entry never raises its
+    eccentricity."""
     # A comparison per pair costs a third of a call to the builtin max or min.
     if variant == MAX:
         return [x if x > y else y for x, y in zip(out_row, in_row)]
     if variant == MIN:
         return [x if x < y else y for x, y in zip(out_row, in_row)]
-    op = PAIR_COMBINERS[variant]
-    return out_row if op is _forward else map(op, out_row, in_row)
+    if variant == ROUNDTRIP:
+        return map(add, out_row, in_row)
+    return out_row
 
 
 def check_variant(g, variant):
@@ -170,21 +149,6 @@ class EccentricityReport:
             lines.append(f"{v}\t{'inf' if e == INF else e}")
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_json(text):
-        def dec(x):
-            return INF if x == "inf" else x
-
-        payload = json.loads(text)
-        return EccentricityReport(
-            variant=payload["variant"],
-            ecc=[dec(e) for e in payload["ecc"]],
-            radius=dec(payload["radius"]),
-            diameter=dec(payload["diameter"]),
-            center=payload["center"],
-            witness=tuple(payload["witness"]) if payload["witness"] else None,
-        )
-
 
 def _report(variant, ecc, rows):
     """The report of ``ecc``.  Ties for the center break toward the smallest
@@ -214,7 +178,7 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     """
     check_variant(g, variant)
     mat = all_pairs(g, cap)
-    if PAIR_COMBINERS[variant] is _forward:
+    if variant in (SOURCE, UNDIRECTED):
         ecc = [max(row) for row in mat]
     else:
         # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
@@ -395,7 +359,7 @@ def _roundtrip_ecc(g, budget):
         return []
     weight, budget = setup
     out_row, in_row = _rows(g, ROUNDTRIP, 0)
-    ecc0 = max(map(operator.add, out_row, in_row))
+    ecc0 = max(pair_row(ROUNDTRIP, out_row, in_row))
     if ecc0 == INF:
         return [INF] * n
     # Each direction's levels change up to the largest one-way distance.

@@ -10,11 +10,7 @@ import hashlib
 import random
 
 
-def substream_seed(seed, name):
-    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def substream(seed, name):
-    """A random.Random seeded from (seed, name)."""
-    return random.Random(substream_seed(seed, name))
+    """A random.Random seeded from the first 8 bytes of sha256("seed:name")."""
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))

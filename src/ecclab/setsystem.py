@@ -51,30 +51,13 @@ class SetSystemInstance:
 
         return SetSystemInstance(d, [pack(s) for s in sets_a], [pack(s) for s in sets_b], mode)
 
-    def sets_a(self):
-        return [_unpack(m) for m in self.list_a]
-
-    def sets_b(self):
-        return [_unpack(m) for m in self.list_b]
-
-
-def _unpack(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
-
 
 def write_set_system(inst):
     """Header ``s <nA> <nB> <d> <OV|HSE>`` then one line per set (A block
     first), space-separated element indices; an empty line is an empty set."""
     lines = [f"s {inst.na} {inst.nb} {inst.d} {inst.mode.upper()}"]
     for mask in list(inst.list_a) + list(inst.list_b):
-        lines.append(" ".join(str(x) for x in _unpack(mask)))
+        lines.append(" ".join(str(x) for x in range(mask.bit_length()) if mask >> x & 1))
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,8 @@ of a bag separator), so every graph above the base-case size splits.
 
 The decomposition is validated once and normalised in one pass (no tree
 edge joins nested bags).  Each side recurses on the decomposition restricted
-to its own vertices, renumbered and normalised again, so a recursion node
-holds at most as many bags as vertices.
+to its own vertices, renumbered with the side's graph by _side and
+normalised again, so a recursion node holds at most as many bags as vertices.
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ def write_td(td, n):
 
 
 def read_td(text):
-    bags = {}
+    """Parse write_td's format.  Each bag id in 1..N, N from the 's td'
+    line, names at most one 'b' line; a bag id with no line is empty."""
+    bag_lines = []
     edges = []
     header = None
     for raw in text.splitlines():
@@ -153,7 +155,7 @@ def read_td(text):
             if parts[0] == "s":
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "b":
-                bags[int(parts[1]) - 1] = frozenset(int(x) for x in parts[2:])
+                bag_lines.append((int(parts[1]), frozenset(int(x) for x in parts[2:])))
             elif len(parts) != 2:
                 raise DecompositionError(f"bad tree edge line: {raw!r}")
             else:
@@ -163,8 +165,14 @@ def read_td(text):
     if header is None:
         raise DecompositionError("missing 's td' line")
     nb = header[0]
-    bag_list = [bags.get(i, frozenset()) for i in range(nb)]
-    return TreeDecomposition(bag_list, edges)
+    bags = {}
+    for i, bag in bag_lines:
+        if not 1 <= i <= nb:
+            raise DecompositionError(f"bag id {i} outside 1..{nb}")
+        if i in bags:
+            raise DecompositionError(f"bag id {i} listed twice")
+        bags[i] = bag
+    return TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
 
 
 @dataclass
@@ -204,13 +212,6 @@ def _normalize(td):
     return TreeDecomposition(
         [bags[i] for i in order], [(remap[find(i)], remap[find(j)]) for i, j in kept]
     )
-
-
-def _restricted(td, pos):
-    """td restricted to the vertices of pos, renumbered by pos and normalised,
-    so it has at most len(pos) bags."""
-    bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
-    return _normalize(TreeDecomposition(bags, td.tree))
 
 
 def find_portal_split(g, td):
@@ -426,24 +427,24 @@ def generate_partial_ktree(n, k, edge_keep_prob, rng, directed=False, max_weight
     return g, TreeDecomposition(bags, tree)
 
 
-def _augmented_side(g, pos, portals, fwd):
-    """Induced subgraph on the vertices of pos, renumbered by pos, plus
-    portal-to-portal shortcut edges."""
-    edges = [
-        (pos[u], pos[v], w)
-        for u, v, w in g.edges
-        if u in pos and v in pos
+def _side(g, td, keep, portals, fwd):
+    """(graph, decomposition) of one side, renumbered by position in the
+    sorted vertex list keep.  The graph is the subgraph of g induced on keep
+    plus a shortcut edge p -> q of weight fwd[p][q] = d(p -> q) for every two
+    portals with q reachable from p (one per pair on an undirected graph);
+    the decomposition is td restricted to keep and normalised, so it has at
+    most len(keep) bags."""
+    pos = {v: i for i, v in enumerate(keep)}
+    edges = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
+    edges += [
+        (pos[p], pos[q], fwd[p][q])
+        for p in portals
+        for q in portals
+        if (p < q if g.undirected else p != q) and fwd[p][q] != INF
     ]
-    plist = sorted(portals)
-    for p in plist:
-        row = fwd[p]
-        for q in plist:
-            if p == q or row[q] == INF:
-                continue
-            if g.undirected and p > q:
-                continue
-            edges.append((pos[p], pos[q], int(row[q])))
-    return Graph(len(pos), edges, undirected=g.undirected)
+    bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
+    side = Graph(len(keep), edges, undirected=g.undirected)
+    return side, _normalize(TreeDecomposition(bags, td.tree))
 
 
 def _cross_values(variant, avs, portals, cvs, fwd, bwd):
@@ -499,10 +500,10 @@ def _solve(g, td, variant):
     inner = sorted(split.side - split.portals)
     outer = sorted(split.complement)
     for own, far in ((inner, outer), (outer, inner)):
-        pos = {v: i for i, v in enumerate(sorted(own + portals))}
-        local = _solve(_augmented_side(g, pos, portals, fwd), _restricted(td, pos), variant)
+        keep = sorted(own + portals)
+        local = dict(zip(keep, _solve(*_side(g, td, keep, portals, fwd), variant)))
         for v, cross in zip(own, _cross_values(variant, own, portals, far, fwd, bwd)):
-            ecc[v] = max(local[pos[v]], cross)
+            ecc[v] = max(local[v], cross)
     return ecc
 
 

@@ -83,7 +83,7 @@ def _loop_source_radius(g, rng, c=2):
 def _loop_min_diameter(g, rng, epsilon, c=2):
     n = g.n
     size = min(n, max(1, math.ceil(c * n ** (1 - epsilon) * math.log(max(n, 2)))))
-    est = 1 if g.has_edge() else 0
+    est = 1 if g.m else 0
     witness = None
     for s in sorted(sample_vertex_set(n, size, rng)):
         fwd = shortest_paths(g, s, FORWARD)

@@ -20,12 +20,11 @@ from ecclab.oracle import (
     SWEEP_MAX_WEIGHT,
     VARIANTS,
     CapacityError,
-    EccentricityReport,
     VariantError,
     exact_eccentricities,
     exact_median,
     exact_source_ecc,
-    pair_distance,
+    pair_row,
     sampled_ecc,
     sweep_ecc,
     sweep_eccentricities,
@@ -34,17 +33,13 @@ from ecclab.oracle import (
 )
 
 
-def test_pair_distance_definitions():
-    assert pair_distance("source", 3, 7) == 3
-    assert pair_distance("max", 3, 7) == 7
-    assert pair_distance("min", 3, 7) == 3
-    assert pair_distance("roundtrip", 3, 7) == 10
-    assert pair_distance("roundtrip", 3, INF) == INF
-
-
-def test_pair_distance_rejects_unknown_variant():
-    with pytest.raises(VariantError):
-        pair_distance("nope", 1, 2)
+def test_pair_row_definitions():
+    out_row, in_row = [0, 3, 7, INF], [0, 7, 3, 5]
+    assert list(pair_row("source", out_row, in_row)) == [0, 3, 7, INF]
+    assert list(pair_row("undirected", out_row, out_row)) == [0, 3, 7, INF]
+    assert list(pair_row("max", out_row, in_row)) == [0, 7, 7, INF]
+    assert list(pair_row("min", out_row, in_row)) == [0, 3, 3, 5]
+    assert list(pair_row("roundtrip", out_row, in_row)) == [0, 10, 10, INF]
 
 
 def test_directed_path_all_variants():
@@ -131,13 +126,6 @@ def test_median_matches_reference(seed, n, m):
     vertex, total = exact_median(g)
     assert total == min(sums)
     assert vertex == sums.index(min(sums))
-
-
-def test_report_json_round_trip():
-    g = Graph(3, [(0, 1), (1, 2)])
-    rep = exact_eccentricities(g, "min")
-    back = EccentricityReport.from_json(rep.to_json())
-    assert back == rep
 
 
 def _variants(g):

@@ -53,19 +53,24 @@ def test_every_benchmark_command_line_exits_zero(perfbench, tmp_path, capsys):
 
 
 def test_tracer_sees_the_dag_routines(perfbench, tmp_path, capsys):
-    # approx calls approximate_center and condense_scc by its module names,
-    # where the tracer wraps them.
+    # approx calls approximate_center, condense_scc and
+    # truncated_shortest_paths by its module names, where the tracer wraps
+    # them.
     tracing = perfbench("tracing")
     prefix = str(tmp_path / "mr")
     assert cli.main(["gen", "--kind", "min-radius-dag", "--na", "4", "--nb", "4", "--d", "3",
                      "--seed", "1", "--output", prefix]) == 0
+    weighted = tmp_path / "weighted.graph"
+    weighted.write_text(write_graph(Graph(4, [(0, 1, 2), (1, 2, 3), (2, 3, 1), (3, 0, 4), (0, 2, 7)])))
+    runs = [(f"{prefix}.graph", "min-radius-dag"), (f"{prefix}.graph", "finite-min-ecc"),
+            (str(weighted), "source-radius")]
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        for algorithm in ("min-radius-dag", "finite-min-ecc"):
-            assert cli.main(["approx", "--input", f"{prefix}.graph", "--algorithm", algorithm]) == 0
+        for path, algorithm in runs:
+            assert cli.main(["approx", "--input", path, "--algorithm", algorithm]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     spans = {tracer.names[i] for i in tracer.name}
-    assert {"approx.center", "graph.scc"} <= spans
+    assert {"approx.center", "graph.scc", "graph.truncated"} <= spans

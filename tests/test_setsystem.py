@@ -20,8 +20,8 @@ from ecclab.setsystem import (
 def test_from_sets_and_unpack():
     inst = SetSystemInstance.from_sets([[0, 2]], [[1]], 3, OV)
     assert inst.list_a == [0b101]
-    assert inst.sets_a() == [[0, 2]]
-    assert inst.sets_b() == [[1]]
+    assert inst.list_b == [0b10]
+    assert write_set_system(inst) == "s 1 1 3 OV\n0 2\n1\n"
 
 
 def test_from_sets_rejects_out_of_range():
@@ -102,8 +102,8 @@ def test_universe_bound_builds_no_universe_sized_int():
 def test_read_handles_empty_sets_and_comments():
     text = "# comment\ns 2 1 3 OV\n0 2\n\n1\n"
     inst = read_set_system(text)
-    assert inst.sets_a() == [[0, 2], []]
-    assert inst.sets_b() == [[1]]
+    assert inst.list_a == [0b101, 0]
+    assert inst.list_b == [0b10]
 
 
 def test_read_rejects_bad_header():

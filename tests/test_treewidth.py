@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import random_digraph, random_undirected, reference_eccentricities
+from conftest import mixed_graph, random_digraph, random_undirected, reference_eccentricities
 from ecclab import treewidth
-from ecclab.graph import INF, Graph
+from ecclab.approx import approx_source_radius
+from ecclab.graph import BACKWARD, FORWARD, INF, Graph, truncated_shortest_paths
 from ecclab.oracle import VARIANTS, exact_eccentricities
 from ecclab.seeds import substream
 from ecclab.treewidth import (
@@ -12,7 +14,7 @@ from ecclab.treewidth import (
     PortalSplitError,
     TreeDecomposition,
     _normalize,
-    _restricted,
+    _side,
     find_portal_split,
     generate_partial_ktree,
     min_degree_decomposition,
@@ -157,11 +159,35 @@ def test_normalize_and_restrict_leave_no_nested_edge():
             nd.validate(g)
             side = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             pos = {v: i for i, v in enumerate(side)}
-            sub = _restricted(nd, pos)
+            sub_g, sub = _side(g, nd, side, [], {})
             _check_normalized(TreeDecomposition([set(range(len(side)))], []), sub)
             assert len(sub.bags) <= len(side)
-            induced = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
-            sub.validate(Graph(len(side), induced, undirected=True))
+            assert sub_g.edges == [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
+            sub.validate(sub_g)
+
+
+def test_every_side_decomposition_covers_its_shortcuts(monkeypatch):
+    # Each side's decomposition is valid for its graph, portal shortcut edges
+    # included: the portals share the cut bag, so every shortcut lies in it.
+    sides = []
+
+    def checked_side(g, td, keep, portals, fwd):
+        sub_g, sub = _side(g, td, keep, portals, fwd)
+        sub.validate(sub_g)
+        own = set(keep)
+        sides.append(sub_g.m > sum(u in own and v in own for u, v, _ in g.edges))
+        return sub_g, sub
+
+    monkeypatch.setattr(treewidth, "_side", checked_side)
+    rng = substream(9, "sides")
+    for trial in range(16):
+        k = rng.randint(1, 3)
+        g, gen_td = generate_partial_ktree(rng.randint(k + 1, 120), k, rng.uniform(0.5, 1.0), rng,
+                                           directed=trial % 2 == 1, max_weight=3)
+        for td in (gen_td, min_degree_decomposition(g)):
+            for variant in variants_of(g):
+                assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+    assert len(sides) >= 1000 and sum(sides) >= 300
 
 
 def test_portal_split_separates():
@@ -358,3 +384,44 @@ def test_tw_matches_oracle_on_sparse_partial_ktrees():
         for td in (gen_td, min_degree_decomposition(g)):
             for variant in variants_of(g):
                 assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+
+
+# sha256 over tw_eccentricities on seeded partial k-trees (directed and
+# undirected, the generator's and the min-degree decomposition, every
+# variant), exact_eccentricities on seeded graphs with zero-weight arcs,
+# truncated_shortest_paths on seeded positive-weight graphs (both directions,
+# k = 0..n+1) and approx_source_radius on seeded positive-weight digraphs,
+# computed before these paths shared one Dijkstra, one pair-distance
+# definition and one function per tw side, so that refactor must leave every
+# output unchanged.
+PATHS_DIGEST = "0096df3e6bd86b3d467cefe9cf1d22d19a0b3a5a848ae0787da27df1cf0a2f0e"
+
+
+def test_solver_and_search_outputs_pinned():
+    digest = hashlib.sha256()
+    rng = substream(16, "pin")
+    for trial in range(24):
+        k = rng.randint(1, 3)
+        g, gen_td = generate_partial_ktree(rng.randint(k + 1, 70), k, rng.uniform(0.3, 1.0), rng,
+                                           directed=trial % 2 == 1, max_weight=rng.choice((1, 3)))
+        for td in (gen_td, min_degree_decomposition(g)):
+            for variant in variants_of(g):
+                digest.update(tw_eccentricities(g, td, variant).to_json().encode())
+    for _ in range(150):
+        g = mixed_graph(rng, 20, 3)
+        for variant in variants_of(g):
+            digest.update(exact_eccentricities(g, variant).to_json().encode())
+    for trial in range(150):
+        n = rng.randint(1, 20)
+        make = random_undirected if trial % 3 == 0 else random_digraph
+        g = make(rng, n, rng.randint(0, 3 * n), max_weight=rng.choice((1, 4)))
+        for source in range(n):
+            for direction in (FORWARD, BACKWARD):
+                for k in range(n + 2):
+                    digest.update(repr(truncated_shortest_paths(g, source, k, direction)).encode())
+    for trial in range(60):
+        n = rng.randint(1, 60)
+        g = random_digraph(rng, n, rng.randint(0, 4 * n), max_weight=rng.choice((1, 5)))
+        res = approx_source_radius(g, substream(trial, "pin:approx"))
+        digest.update(repr((res.estimate, res.witness)).encode())
+    assert digest.hexdigest() == PATHS_DIGEST
