@@ -250,7 +250,7 @@ def cmd_approx(args):
 def cmd_tw(args):
     g = _load_graph(args)
     if args.td:
-        td = read_td(_read_text(args.td))
+        td = read_td(_read_text(args.td), g.n)
     else:
         td = min_degree_decomposition(g)
     report = tw_eccentricities(g, td, args.variant)
@@ -295,7 +295,7 @@ def _verified_value(g, quantity, variant, args):
         _, total = _median(g, args.cap)
         return total
     if args.td:
-        td = read_td(_read_text(args.td))
+        td = read_td(_read_text(args.td), g.n)
         report = tw_eccentricities(g, td, variant)
     else:
         report = _eccentricities(g, variant, args.cap)

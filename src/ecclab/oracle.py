@@ -37,8 +37,9 @@ roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
 a matrix or row-by-row path, when W exceeds ``SWEEP_MAX_WEIGHT``, past the
 roundtrip level bound, for ``roundtrip`` from sampled sources, and once its
 work passes a budget set against the reference's (see ``sweep_source_ecc``
-and ``_roundtrip_ecc``).  ``ecclab exact``, ``ecclab verify`` and the
-treewidth solver's base cases try it first.
+and ``_roundtrip_ecc``).  ``ecclab exact`` and ``ecclab verify`` try it
+first; the treewidth solver tries it at every recursion node, under a budget
+of what splitting the node would cost above its base cases.
 """
 
 from __future__ import annotations

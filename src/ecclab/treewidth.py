@@ -9,7 +9,19 @@ distinct shapes of the portal distance vectors.
 
 find_portal_split cuts at the most balanced bag-tree edge, with at most width
 portals, or else at a centroid bag, with at most width + 1 portals (the bound
-of a bag separator), so every graph above the base-case size splits.
+of a bag separator), so every graph above the base-case size of
+max(width**3, 16) vertices can split.
+
+Splitting is the costly path, though, where the graph's weighted diameter is
+small against n.  So each node first tries the level sweep of the oracle
+(Akiba, Iwata and Yoshida, SIGMOD 2013) under a budget of what splitting it
+would cost, and splits only where the sweep gives up (see _sweep_budget); a
+base case tries it under its default budget and then takes the matrix path.
+On k-trees the sweep answers the top node: the benchmark's tw-ktree jobs
+took a third of the time of always splitting, and an undirected 3-tree of
+25,600 vertices about half.  On unit cycles, whose diameter is n / 2, the
+sweep gives up at the upper nodes, or the memory gate skips them, and they
+split as before: at 1,600 and 3,200 vertices the time did not move.
 
 The decomposition is validated once and normalised in one pass (no tree
 edge joins nested bags).  Each side recurses on the decomposition restricted
@@ -138,9 +150,10 @@ def write_td(td, n):
     return "\n".join(lines) + "\n"
 
 
-def read_td(text):
-    """Parse write_td's format.  Each bag id in 1..N, N from the 's td'
-    line, names at most one 'b' line; a bag id with no line is empty."""
+def read_td(text, n):
+    """Parse write_td's format for a graph of n vertices.  The one 's td'
+    line gives the bag count N, the largest bag size and n; each bag id in
+    1..N names at most one 'b' line, and a bag id with no line is empty."""
     bag_lines = []
     edges = []
     header = None
@@ -151,6 +164,8 @@ def read_td(text):
         parts = line.split()
         if parts[0] == "s" and (len(parts) != 5 or parts[1] != "td"):
             raise DecompositionError(f"bad solution line: {raw!r}")
+        if parts[0] == "s" and header is not None:
+            raise DecompositionError(f"second 's td' line: {raw!r}")
         try:
             if parts[0] == "s":
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
@@ -164,7 +179,9 @@ def read_td(text):
             raise DecompositionError(f"malformed .td line: {raw!r}") from exc
     if header is None:
         raise DecompositionError("missing 's td' line")
-    nb = header[0]
+    nb, size, header_n = header
+    if header_n != n:
+        raise DecompositionError(f"'s td' line gives {header_n} vertices, the graph has {n}")
     bags = {}
     for i, bag in bag_lines:
         if not 1 <= i <= nb:
@@ -172,7 +189,10 @@ def read_td(text):
         if i in bags:
             raise DecompositionError(f"bag id {i} listed twice")
         bags[i] = bag
-    return TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
+    td = TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
+    if size != td.width + 1:
+        raise DecompositionError(f"'s td' line gives bag size {size}, the largest bag has {td.width + 1}")
+    return td
 
 
 @dataclass
@@ -477,15 +497,52 @@ def _cross_values(variant, avs, portals, cvs, fwd, bwd):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _base_case(g, variant):
-    return sweep_ecc(g, variant, None) or exact_eccentricities(g, variant, cap=None).ecc
+# Mask operations the level sweep may spend on a recursion node per machine
+# word of its split cost (see _sweep_budget); it also scales the memory
+# gate.  Two runs each of 1, 2, 4 and 8 (Python 3.11, 2 CPUs): the
+# benchmark's tw-ktree solve_rel read 30-31, 24-25, 21-22 and 22-23 (about
+# 68 when every node splits); the undirected 3-tree of 25,600 vertices took
+# 5.1-6.0, 4.4, 3.3-3.4 and 2.9-3.7 s at 94, 93, 97 and 103 MB peak
+# (7.8-10 s at 94 MB when every node splits); the unit cycle of 3,200
+# vertices did not move.
+_SWEEP_PER_SPLIT = 4
+
+
+def _sweep_budget(g, width):
+    """The work budget, in mask operations, under which the level sweep
+    answers a recursion node for less than splitting it; None when its level
+    masks would outgrow the node's own footprint.
+
+    Splitting costs about (n + m)(width + 1) log n machine words, and one
+    mask operation touches ceil(n / 64) of them.  The sweep holds W + 1
+    levels of n masks, W the largest weight, so it is not tried when they
+    would pass 2 _SWEEP_PER_SPLIT (n + m)(width + 1) words: it builds the
+    first level before it checks any budget.
+    """
+    n = g.n
+    words = -(-n // 64)
+    size = _SWEEP_PER_SPLIT * (n + g.m) * (width + 1)
+    if (max(1, g.max_weight) + 1) * n * words > 2 * size:
+        return None
+    return size * n.bit_length() // words
 
 
 def _solve(g, td, variant):
-    """Eccentricities of g; td is a normalised decomposition of g."""
+    """Eccentricities of g; td is a normalised decomposition of g.
+
+    A node of at most max(width**3, 16) vertices is a base case: the level
+    sweep under its default budget, else the matrix path.  A larger node
+    tries the sweep under _sweep_budget and splits when that gives up.
+    """
     n = g.n
-    if n <= max(td.width ** 3, 16):
-        return _base_case(g, variant)
+    base = n <= max(td.width ** 3, 16)
+    budget = None if base else _sweep_budget(g, td.width)
+    if base or budget is not None:
+        ecc = sweep_ecc(g, variant, None, budget)
+        if ecc is not None:
+            return ecc
+    if base:
+        return exact_eccentricities(g, variant, cap=None).ecc
     split = find_portal_split(g, td)
     portals = sorted(split.portals)
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}

@@ -355,7 +355,7 @@ def test_12_io_round_trip_and_determinism(tmp_path, capsys):
         assert write_set_system(read_set_system(write_set_system(inst))) == write_set_system(inst)
     for _ in range(10):
         g, td = generate_partial_ktree(30, 3, 0.8, rng)
-        assert write_td(read_td(write_td(td, g.n)), g.n) == write_td(td, g.n)
+        assert write_td(read_td(write_td(td, g.n), g.n), g.n) == write_td(td, g.n)
     # Identical run spec (seed included) produces identical files.
     for tag in ("a", "b"):
         prefix = str(tmp_path / tag)

@@ -260,6 +260,18 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
      ["tw", "--input", "g.graph", "--td", "g.td"]),
     ({"g.graph": PATH3, "g.td": "s td 2 2 3\nb 1 0 1\nb 2 0 2\nb 2 1 2\n1 2\n"},
      ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": PATH3, "g.td": "s td 2 9 50\nb 1 0 1\nb 2 1 2\n1 2\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": PATH3, "g.td": "s td 2 9 3\nb 1 0 1\nb 2 1 2\n1 2\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": PATH3, "g.td": "s td 2 2 50\nb 1 0 1\nb 2 1 2\n1 2\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": PATH3, "g.td": "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\ns td 2 7 99\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"]),
+    ({"g.graph": PATH3, "g.td": "s td 2 2 4\nb 1 0 1\nb 2 1 2\n1 2\n",
+      "g.json": json.dumps({"quantity": "radius", "variant": "undirected", "answer": True,
+                            "eq_side": "yes", "yes_value": 1, "no_bound": 2})},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json", "--td", "g.td"]),
     ({"g.graph": "p 3 3 D 1\n0 1\n1 2\n2 0\n"},
      ["approx", "--input", "g.graph", "--algorithm", "min-diameter-dag"]),
     ({"g.graph": "p 3 2 U 1\n0 1\n1 2\n"},
@@ -283,7 +295,8 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
-        "td-edge-extra-field", "td-bag-id-outside", "td-bag-id-twice", "approx-dag-cycle",
+        "td-edge-extra-field", "td-bag-id-outside", "td-bag-id-twice", "td-header-both-wrong",
+        "td-header-size", "td-header-n", "td-header-twice", "verify-td-header-n", "approx-dag-cycle",
         "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero", "reduce-rounds-zero",
         "reduce-rounds-negative", "sidecar-quantity", "verify-median-td"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):

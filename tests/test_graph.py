@@ -168,6 +168,6 @@ def test_parsers_raise_only_format_errors(text):
     else:
         assert g.n >= 0
     try:
-        read_td(text)
+        read_td(text, 3)
     except DecompositionError:
         pass

@@ -1,5 +1,8 @@
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +137,7 @@ def test_min_degree_heap_matches_scan():
 def test_td_round_trip():
     rng = substream(1, "io")
     g, td = generate_partial_ktree(25, 3, 0.8, rng)
-    back = read_td(write_td(td, g.n))
+    back = read_td(write_td(td, g.n), g.n)
     assert back.bags == td.bags
     assert sorted(back.tree) == sorted(td.tree)
     assert write_td(back, g.n) == write_td(td, g.n)
@@ -166,7 +169,22 @@ def test_normalize_and_restrict_leave_no_nested_edge():
             sub.validate(sub_g)
 
 
-def test_every_side_decomposition_covers_its_shortcuts(monkeypatch):
+@pytest.fixture
+def always_split(monkeypatch):
+    # Every node above the base-case size splits, as it does where the sweep
+    # gives up: the sweep would answer the small k-trees below at the top.
+    monkeypatch.setattr(treewidth, "_sweep_budget", lambda g, width: None)
+
+
+def unit_cycle(n):
+    """The undirected unit cycle 0..n-1 with the width-2 decomposition of
+    bags {0, i, i+1}: diameter n // 2, so the sweep gives up on it."""
+    g = Graph(n, [(u, (u + 1) % n) for u in range(n)], undirected=True)
+    return g, TreeDecomposition([{0, i, i + 1} for i in range(1, n - 1)],
+                                [(i, i + 1) for i in range(n - 3)])
+
+
+def test_every_side_decomposition_covers_its_shortcuts(monkeypatch, always_split):
     # Each side's decomposition is valid for its graph, portal shortcut edges
     # included: the portals share the cut bag, so every shortcut lies in it.
     sides = []
@@ -239,7 +257,7 @@ def connected_ktree(seed, variant, n=200, k=3):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_tw_matches_oracle_undirected_source(variant, monkeypatch):
+def test_tw_matches_oracle_undirected_source(variant, monkeypatch, always_split):
     for seed in range(6):
         rng = substream(seed, f"tw:{variant}")
         directed = variant != "undirected"
@@ -264,7 +282,7 @@ def test_tw_matches_oracle_undirected_source(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_undirected_graph_runs_no_backward_portal_paths(variant, monkeypatch):
+def test_undirected_graph_runs_no_backward_portal_paths(variant, monkeypatch, always_split):
     # On an undirected graph the backward distances are the forward ones.
     directions = []
     shortest_paths = treewidth.shortest_paths
@@ -297,7 +315,7 @@ def test_tw_tiny_graphs():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
+def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch, always_split):
     # A weighted k-tree with n = 200: for the directed variants both arcs of
     # every edge, weights 1..3.
     if variant == "undirected":
@@ -307,7 +325,7 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     swept = []
     sweep = treewidth.sweep_ecc
 
-    def unbounded_sweep(g, variant, cap):
+    def unbounded_sweep(g, variant, cap, budget=None):
         # Every base case through the sweep, however much work it takes.
         ecc = sweep(g, variant, cap, budget=INF)
         swept.append(ecc is not None)
@@ -321,8 +339,9 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch):
     assert all(swept)
 
 
-def test_tw_recurses_below_the_top_split(monkeypatch):
-    # The sides of the top split are themselves split, and theirs again.
+def deepest_node(monkeypatch):
+    """Wrap _solve; the returned function runs tw_eccentricities and gives
+    its eccentricities and the depth of its deepest recursion node."""
     depth = [0]
     deepest = [0]
     solve = treewidth._solve
@@ -336,6 +355,17 @@ def test_tw_recurses_below_the_top_split(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(treewidth, "_solve", nested_solve)
+
+    def run(g, td, variant):
+        deepest[0] = 0
+        return tw_eccentricities(g, td, variant).ecc, deepest[0]
+
+    return run
+
+
+def test_tw_recurses_below_the_top_split(monkeypatch, always_split):
+    # The sides of the top split are themselves split, and theirs again.
+    run = deepest_node(monkeypatch)
     # The 4-tree is undirected for "undirected" and directed for the rest.
     cases = [(variant, connected_ktree(0, variant, n=300, k=4)) for variant in VARIANTS]
     cases.append(("min", connected_ktree(0, "min")))
@@ -344,9 +374,71 @@ def test_tw_recurses_below_the_top_split(monkeypatch):
         g, _ = connected_ktree(seed, variant, n=n, k=2)
         cases.append((variant, (g, min_degree_decomposition(g))))
     for variant, (g, td) in cases:
-        deepest[0] = 0
+        ecc, deepest = run(g, td, variant)
+        assert ecc == exact_eccentricities(g, variant).ecc
+        assert deepest >= 3, (g.n, variant, deepest)
+
+
+def heavy_ktree(seed, n=200):
+    """A directed 3-tree with both arcs of every edge, weights 1..100: at
+    n = 200 and above its sweep levels pass the memory gate of _sweep_budget."""
+    rng = substream(seed, "tw-heavy")
+    g, td = generate_partial_ktree(n, 3, 1.0, rng)
+    return Graph(n, [(x, y, rng.randint(1, 100)) for u, v, _ in g.edges
+                     for x, y in ((u, v), (v, u))]), td
+
+
+def test_tw_recurses_where_the_sweep_gives_up(monkeypatch):
+    # No patch: on the cycle the sweep passes its budget at the upper nodes;
+    # with weights 1..100 the memory gate skips it there, and below it
+    # declines at once (W > SWEEP_MAX_WEIGHT).
+    run = deepest_node(monkeypatch)
+    cases = [(unit_cycle(800), "undirected"), (unit_cycle(800), "source"),
+             (heavy_ktree(0, n=300), "min"), (heavy_ktree(1, n=300), "roundtrip")]
+    for (g, td), variant in cases:
+        ecc, deepest = run(g, td, variant)
+        assert ecc == exact_eccentricities(g, variant).ecc
+        assert deepest >= 3, (g.n, variant, deepest)
+
+
+def test_tw_answers_ktrees_by_the_sweep_under_the_budget(monkeypatch):
+    # A k-tree's diameter is small against n, so the sweep answers the top
+    # node within the cost of splitting it, and nothing splits.
+    def no_split(*args):
+        raise AssertionError("find_portal_split called")
+
+    monkeypatch.setattr(treewidth, "find_portal_split", no_split)
+    for variant in VARIANTS:
+        for seed in range(2):
+            g, td = connected_ktree(seed, variant, n=300)
+            assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+
+
+def test_tw_skips_the_sweep_past_the_memory_gate(monkeypatch):
+    # W + 1 = 101 levels of n masks pass the node's own footprint, so the top
+    # node splits without calling the sweep.
+    calls = []
+    sweep = treewidth.sweep_ecc
+
+    def counted_sweep(g, *args):
+        calls.append(g)
+        return sweep(g, *args)
+
+    monkeypatch.setattr(treewidth, "sweep_ecc", counted_sweep)
+    for seed, variant in enumerate(VARIANTS[1:]):
+        g, td = heavy_ktree(seed)
+        calls.clear()
         assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
-        assert deepest[0] >= 3, (g.n, variant, deepest[0])
+        assert calls and all(h is not g for h in calls)
+
+
+@pytest.mark.parametrize("family", ["ktree", "cycle"])
+def test_tw_scaling_tool_runs(family):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "tw_scaling.py"
+    proc = subprocess.run([sys.executable, str(tool), "--family", family, "--n", "200"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4
 
 
 def variants_of(g):
