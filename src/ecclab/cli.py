@@ -147,6 +147,9 @@ def _median(g, cap):
 def cmd_gen(args):
     if args.output is None:
         raise SystemExit2("gen needs --output (the path prefix of the files it writes)")
+    for flag, p in ("--density", args.density), ("--edge-keep-prob", args.edge_keep_prob):
+        if not 0 <= p <= 1:
+            raise SystemExit2(f"{flag} must lie in [0, 1] (got {p})")
     rng = substream(args.seed, f"gen:{args.kind}")
     if args.kind == "partial-ktree":
         if args.k < 0 or args.n < args.k + 1:
@@ -265,6 +268,8 @@ def cmd_tw(args):
 def cmd_reduce(args):
     if args.rounds < 1:
         raise SystemExit2(f"--rounds must be at least 1 (got {args.rounds})")
+    if args.delta is not None and args.delta < 0:
+        raise SystemExit2(f"--delta must be nonnegative (got {args.delta})")
     g = _load_graph(args)
     rng = substream(args.seed, "reduce")
     res = reduce_decision23_to_set_system(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import cached_property
 
 INF = float("inf")
 
@@ -26,7 +27,8 @@ class Graph:
 
     For an undirected graph each edge is stored once and the adjacency is
     symmetric.  Parallel edges are permitted; shortest paths ignore the
-    heavier copies.
+    heavier copies.  ``edges`` is not changed after construction, so each
+    view derived from it is computed once, on first use, and cached.
     """
 
     def __init__(self, n, edges=(), undirected=False):
@@ -46,45 +48,36 @@ class Graph:
             if u == v:
                 continue
             self.edges.append((u, v, w))
-        self._adj_out = None
-        self._adj_in = None
-        self._unit = None
 
     @property
     def m(self):
         return len(self.edges)
 
-    @property
+    @cached_property
     def unit_weights(self):
-        if self._unit is None:
-            self._unit = all(w == 1 for _, _, w in self.edges)
-        return self._unit
+        return all(w == 1 for _, _, w in self.edges)
 
-    @property
+    @cached_property
     def max_weight(self):
         return max((w for _, _, w in self.edges), default=1)
 
-    @property
+    @cached_property
     def adj_out(self):
-        if self._adj_out is None:
-            out = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                out[u].append((v, w))
-                if self.undirected:
-                    out[v].append((u, w))
-            self._adj_out = out
-        return self._adj_out
+        out = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            out[u].append((v, w))
+            if self.undirected:
+                out[v].append((u, w))
+        return out
 
-    @property
+    @cached_property
     def adj_in(self):
         if self.undirected:
             return self.adj_out
-        if self._adj_in is None:
-            inc = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
-                inc[v].append((u, w))
-            self._adj_in = inc
-        return self._adj_in
+        inc = [[] for _ in range(self.n)]
+        for u, v, w in self.edges:
+            inc[v].append((u, w))
+        return inc
 
     def directed_edges(self):
         """Yield every directed arc (both orientations if undirected)."""
@@ -98,17 +91,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, {kind})"
 
 
-def _adjacency(g, direction):
-    if direction == FORWARD:
-        return g.adj_out
-    if direction == BACKWARD:
-        return g.adj_in
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def shortest_paths(g, source, direction=FORWARD):
     """Single-source distances; BFS when all weights are 1, Dijkstra otherwise."""
-    adj = _adjacency(g, direction)
+    if direction not in (FORWARD, BACKWARD):
+        raise ValueError(f"unknown direction {direction!r}")
+    adj = g.adj_out if direction == FORWARD else g.adj_in
     n = g.n
     dist = [INF] * n
     dist[source] = 0

@@ -141,6 +141,8 @@ def _reduce_diameter(g, nbhd, high, low, width, rng, rounds, delta):
         if far:
             return ReductionResult(3, DIAMETER, (v, far[0]), 0, delta, width, high,
                                    notes="high-degree traversal")
+    if not low:  # every pair touches a high-degree vertex: nothing to hash
+        rounds = 0
     # The hash covers the ids in the low neighborhoods, as hashed_masks does.
     top = max((max(nbhd[v]) for v in low), default=-1)
     member = _membership(nbhd, low, top + 1)

@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .graph import (
@@ -69,6 +69,10 @@ class PortalSplitError(RuntimeError):
 
 @dataclass
 class TreeDecomposition:
+    """Bags and the bag tree's edges.  Every producer (read_td, _normalize,
+    _side and both decomposers) builds a new object, and nothing changes
+    bags or tree afterwards, so width is computed once."""
+
     bags: list
     tree: list
 
@@ -76,7 +80,7 @@ class TreeDecomposition:
         self.bags = [frozenset(b) for b in self.bags]
         self.tree = [tuple(e) for e in self.tree]
 
-    @property
+    @cached_property
     def width(self):
         return max((len(b) for b in self.bags), default=1) - 1
 
@@ -98,19 +102,7 @@ class TreeDecomposition:
         for i, j in self.tree:
             if not (0 <= i < nb and 0 <= j < nb):
                 raise DecompositionError(f"bag tree edge ({i},{j}) out of range")
-        adj = self.neighbors()
-        seen = [False] * nb
-        q = deque([0])
-        seen[0] = True
-        cnt = 1
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    cnt += 1
-                    q.append(v)
-        if cnt != nb:
+        if len(_bfs_order(self.neighbors())[0]) != nb:
             raise DecompositionError("bag tree is not connected")
         covered = set().union(*self.bags) if self.bags else set()
         outside = [v for v in covered if not 0 <= v < g.n]
@@ -138,6 +130,21 @@ class TreeDecomposition:
         for v in range(g.n):
             if shared[v] != len(where[v]) - 1:
                 raise DecompositionError(f"bags containing vertex {v} are not connected")
+
+
+def _bfs_order(adj):
+    """The bags reached from bag 0 along the neighbour lists adj, in
+    breadth-first order, and each bag's parent: -1 for bag 0, None for a bag
+    not reached."""
+    parent = [None] * len(adj)
+    parent[0] = -1
+    order = [0]
+    for u in order:
+        for v in adj[u]:
+            if parent[v] is None:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 def write_td(td, n):
@@ -268,13 +275,7 @@ def find_portal_split(g, td):
     adj = td.neighbors()
 
     # Root the bag tree, find each vertex's topmost bag, count per subtree.
-    parent = [-1] * len(bags)
-    bfs = [0]
-    for u in bfs:
-        for v in adj[u]:
-            if v != parent[u]:
-                parent[v] = u
-                bfs.append(v)
+    bfs, parent = _bfs_order(adj)
     top = {}
     for b in bfs:
         for v in bags[b]:

@@ -175,6 +175,8 @@ def reference_reduce23(g, target, rng, delta=None, rounds=20):
                                    notes="high-degree traversal")
         far.update(far_v)
     if target == DIAMETER:
+        if not low:  # every pair touches a high-degree vertex: no round is drawn
+            rounds = 0
         for rnd in range(rounds):
             masks = hashed_masks([nbhd[v] for v in low], width, rng)
             found, wit = solve_set_system(SetSystemInstance(width, masks, masks, OV))

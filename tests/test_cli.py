@@ -284,6 +284,12 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
      ["reduce", "--input", "g.graph", "--target", "diameter", "--rounds", "0"]),
     ({"g.graph": GOOD_GRAPH},
      ["reduce", "--input", "g.graph", "--target", "radius", "--rounds", "-1"]),
+    ({"g.graph": GOOD_GRAPH},
+     ["reduce", "--input", "g.graph", "--target", "diameter", "--delta", "-3"]),
+    ({}, ["gen", "--kind", "radius-23", "--density", "3", "--output", "x"]),
+    ({}, ["gen", "--kind", "radius-23", "--density", "nan", "--output", "x"]),
+    ({}, ["gen", "--kind", "partial-ktree", "--edge-keep-prob", "2", "--output", "x"]),
+    ({}, ["gen", "--kind", "partial-ktree", "--edge-keep-prob", "-0.5", "--output", "x"]),
     ({"g.graph": "p 3 2 U 1\n0 1\n1 2\n", "g.json": json.dumps(
         {"quantity": "foo", "variant": "undirected", "answer": True, "eq_side": "yes",
          "yes_value": 2, "no_bound": 3})},
@@ -298,7 +304,8 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
         "td-edge-extra-field", "td-bag-id-outside", "td-bag-id-twice", "td-header-both-wrong",
         "td-header-size", "td-header-n", "td-header-twice", "verify-td-header-n", "approx-dag-cycle",
         "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero", "reduce-rounds-zero",
-        "reduce-rounds-negative", "sidecar-quantity", "verify-median-td"])
+        "reduce-rounds-negative", "reduce-delta-negative", "gen-density-high", "gen-density-nan",
+        "gen-keep-prob-high", "gen-keep-prob-negative", "sidecar-quantity", "verify-median-td"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

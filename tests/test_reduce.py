@@ -156,6 +156,11 @@ def test_rounds_used_counts_drawn_rounds(monkeypatch):
     drawn.clear()
     res = reduce_decision23_to_set_system(hub_graph(3, 12), RADIUS, random.Random(1), delta=3)
     assert (res.value, res.rounds_used, drawn) == (3, 0, [])
+    # On K6 every vertex is high-degree and within distance 1 of the rest,
+    # so the traversals settle every pair and no round is drawn.
+    k6 = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], undirected=True)
+    res = reduce_decision23_to_set_system(k6, DIAMETER, random.Random(1))
+    assert (res.value, res.rounds_used, drawn) == (2, 0, [])
 
 
 def _far_drop_runs(g, delta):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from ecclab.treewidth import (
     write_td,
 )
 
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
 
 def test_validate_catches_missing_edge():
     g = Graph(3, [(0, 1), (1, 2)], undirected=True)
@@ -39,6 +42,18 @@ def test_validate_catches_disconnected_occurrences():
     td = TreeDecomposition([{0, 1}, {1, 2}, {0}], [(0, 1), (1, 2)])
     with pytest.raises(DecompositionError):
         td.validate(g)
+
+
+@pytest.mark.parametrize("tree", [[(0, 1), (0, 1)], [(0, 0), (0, 1)],
+                                  [(0, 1), (2, 3), (3, 4), (4, 2)]],
+                         ids=["repeated-edge", "self-loop", "two-components"])
+def test_validate_catches_disconnected_bag_tree(tree):
+    # As many tree edges as a tree on the bags has, but they leave a bag
+    # unreached from bag 0.
+    g = Graph(3, [(0, 1), (1, 2)], undirected=True)
+    bags = [{0, 1}, {1, 2}, {1}, {1}, {1}][:len(tree) + 1]
+    with pytest.raises(DecompositionError, match="bag tree is not connected"):
+        TreeDecomposition(bags, tree).validate(g)
 
 
 def test_validate_messages_on_mutated_decompositions():
@@ -176,12 +191,17 @@ def always_split(monkeypatch):
     monkeypatch.setattr(treewidth, "_sweep_budget", lambda g, width: None)
 
 
-def unit_cycle(n):
-    """The undirected unit cycle 0..n-1 with the width-2 decomposition of
-    bags {0, i, i+1}: diameter n // 2, so the sweep gives up on it."""
-    g = Graph(n, [(u, (u + 1) % n) for u in range(n)], undirected=True)
-    return g, TreeDecomposition([{0, i, i + 1} for i in range(1, n - 1)],
-                                [(i, i + 1) for i in range(n - 3)])
+@pytest.fixture
+def tw_scaling(monkeypatch):
+    """tools/tw_scaling.py, whose build(family, n) gives the test families."""
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("tw_scaling")
+
+
+def both_arcs(g, rng, top):
+    """The directed graph with both arcs of every edge of g, weights 1..top."""
+    return Graph(g.n, [(x, y, rng.randint(1, top)) for u, v, _ in g.edges
+                       for x, y in ((u, v), (v, u))])
 
 
 def test_every_side_decomposition_covers_its_shortcuts(monkeypatch, always_split):
@@ -384,18 +404,25 @@ def heavy_ktree(seed, n=200):
     n = 200 and above its sweep levels pass the memory gate of _sweep_budget."""
     rng = substream(seed, "tw-heavy")
     g, td = generate_partial_ktree(n, 3, 1.0, rng)
-    return Graph(n, [(x, y, rng.randint(1, 100)) for u, v, _ in g.edges
-                     for x, y in ((u, v), (v, u))]), td
+    return both_arcs(g, rng, 100), td
 
 
-def test_tw_recurses_where_the_sweep_gives_up(monkeypatch):
-    # No patch: on the cycle the sweep passes its budget at the upper nodes;
-    # with weights 1..100 the memory gate skips it there, and below it
-    # declines at once (W > SWEEP_MAX_WEIGHT).
+def test_tw_recurses_where_the_sweep_gives_up(monkeypatch, tw_scaling):
+    # No patch: on the cycle and the cylinder the sweep passes its budget at
+    # the upper nodes; with weights 1..100 the memory gate skips it there,
+    # and below it declines at once (W > SWEEP_MAX_WEIGHT).  With both arcs
+    # of every edge (weights 1..3), and the cylinder also undirected, they
+    # run under every variant they admit.
     run = deepest_node(monkeypatch)
-    cases = [(unit_cycle(800), "undirected"), (unit_cycle(800), "source"),
-             (heavy_ktree(0, n=300), "min"), (heavy_ktree(1, n=300), "roundtrip")]
-    for (g, td), variant in cases:
+    rng = substream(6, "tw-recurse")
+    cases = [(*tw_scaling.build("cycle", 800), variant) for variant in ("undirected", "source")]
+    cases += [(*heavy_ktree(0, n=300), "min"), (*heavy_ktree(1, n=300), "roundtrip")]
+    cycle, cycle_td = tw_scaling.build("cycle", 400)
+    cylinder, cylinder_td = tw_scaling.build("cylinder", 400)
+    for g, td in ((both_arcs(cycle, rng, 3), cycle_td), (cylinder, cylinder_td),
+                  (both_arcs(cylinder, rng, 3), cylinder_td)):
+        cases += [(g, td, variant) for variant in variants_of(g)]
+    for g, td, variant in cases:
         ecc, deepest = run(g, td, variant)
         assert ecc == exact_eccentricities(g, variant).ecc
         assert deepest >= 3, (g.n, variant, deepest)
@@ -432,10 +459,10 @@ def test_tw_skips_the_sweep_past_the_memory_gate(monkeypatch):
         assert calls and all(h is not g for h in calls)
 
 
-@pytest.mark.parametrize("family", ["ktree", "cycle"])
+@pytest.mark.parametrize("family", ["ktree", "cycle", "cylinder"])
 def test_tw_scaling_tool_runs(family):
-    tool = Path(__file__).resolve().parent.parent / "tools" / "tw_scaling.py"
-    proc = subprocess.run([sys.executable, str(tool), "--family", family, "--n", "200"],
+    proc = subprocess.run([sys.executable, str(TOOLS / "tw_scaling.py"), "--family", family,
+                           "--n", "200"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4

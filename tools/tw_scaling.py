@@ -3,6 +3,7 @@
     python3 tools/tw_scaling.py                 # n = 1,600, 3,200 and 6,400
     python3 tools/tw_scaling.py --n 12800 25600
     python3 tools/tw_scaling.py --family cycle --n 1600 3200
+    python3 tools/tw_scaling.py --family cylinder --n 1600 3200
 
 For each n the input is one undirected graph of the family:
 
@@ -11,7 +12,11 @@ For each n the input is one undirected graph of the family:
   answers it at the top of the recursion;
 - ``cycle``: the unit cycle 0..n-1 with the width-2 decomposition of bags
   {0, i, i+1}; its diameter is n // 2, so the sweep gives up at the upper
-  nodes and the solver splits them.
+  nodes and the solver splits them;
+- ``cylinder``: the 2 x L cylinder, n = 2L: the unit cycles 0..L-1 and
+  L..2L-1 joined by the rungs (i, L + i), with the width-5 decomposition of
+  bags {0, L, i, i+1, L+i, L+i+1}; its diameter is about L / 2 + 1, so the
+  solver splits there too, on up to six portals.
 
 Three cases run on it, each in its own subprocess so that the process's
 peak RSS is the case's own:
@@ -41,7 +46,7 @@ from random import Random
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CASES = ("tw-td", "tw-mindeg", "sweep")
-FAMILIES = ("ktree", "cycle")
+FAMILIES = ("ktree", "cycle", "cylinder")
 
 
 def build(family, n):
@@ -51,9 +56,15 @@ def build(family, n):
 
     if family == "ktree":
         return generate_partial_ktree(n, 3, 1.0, Random(1))
-    g = Graph(n, [(u, (u + 1) % n) for u in range(n)], undirected=True)
-    return g, TreeDecomposition([{0, i, i + 1} for i in range(1, n - 1)],
-                                [(i, i + 1) for i in range(n - 3)])
+    if family == "cycle":
+        g = Graph(n, [(u, (u + 1) % n) for u in range(n)], undirected=True)
+        return g, TreeDecomposition([{0, i, i + 1} for i in range(1, n - 1)],
+                                    [(i, i + 1) for i in range(n - 3)])
+    L = n // 2
+    edges = [(s + u, s + (u + 1) % L) for s in (0, L) for u in range(L)]
+    g = Graph(2 * L, edges + [(u, L + u) for u in range(L)], undirected=True)
+    return g, TreeDecomposition([{0, L, i, i + 1, L + i, L + i + 1} for i in range(1, L - 1)],
+                                [(i, i + 1) for i in range(L - 3)])
 
 
 def run_case(family, case, n):
