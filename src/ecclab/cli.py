@@ -45,8 +45,10 @@ from .oracle import (
     VariantError,
     exact_eccentricities,
     exact_median,
+    sweep_ecc,
     sweep_eccentricities,
     sweep_median,
+    sweep_radius,
 )
 from .reduce23 import DIAMETER, RADIUS, reduce_decision23_to_set_system
 from .seeds import substream
@@ -130,6 +132,11 @@ class SystemExit2(Exception):
     """Usage error carrying a message; mapped to exit code 2."""
 
 
+def _check_cap_flag(args):
+    if args.cap < 0:
+        raise SystemExit2(f"--cap must be nonnegative (got {args.cap})")
+
+
 def _eccentricities(g, variant, cap):
     """The level sweep's report, or the matrix path's where the sweep gives up."""
     return sweep_eccentricities(g, variant, cap) or exact_eccentricities(g, variant, cap=cap)
@@ -192,6 +199,7 @@ def cmd_gen(args):
 
 
 def cmd_exact(args):
+    _check_cap_flag(args)
     g = _load_graph(args)
     if args.quantity == "median":
         vertex, total = _median(g, args.cap)
@@ -299,16 +307,18 @@ def _verified_value(g, quantity, variant, args):
             raise SystemExit2("--td cannot verify a median sidecar: the tw solver has no median")
         _, total = _median(g, args.cap)
         return total
+    # Without --td: the level sweep, stopped at the radius level for a radius,
+    # or the matrix path where it gives up.  No witness pair is computed.
     if args.td:
-        td = read_td(_read_text(args.td), g.n)
-        report = tw_eccentricities(g, td, variant)
+        ecc = tw_eccentricities(g, read_td(_read_text(args.td), g.n), variant).ecc
+    elif quantity == "radius":
+        radius = sweep_radius(g, variant, args.cap)
+        return exact_eccentricities(g, variant, cap=args.cap).radius if radius is None else radius
     else:
-        report = _eccentricities(g, variant, args.cap)
+        ecc = sweep_ecc(g, variant, args.cap) or exact_eccentricities(g, variant, cap=args.cap).ecc
     if quantity == "radius":
-        return report.radius
-    if quantity == "diameter":
-        return report.diameter
-    return report.ecc
+        return min(ecc)
+    return max(ecc) if quantity == "diameter" else ecc
 
 
 def _read_sidecar(path):
@@ -323,7 +333,8 @@ def _read_sidecar(path):
             extras = sidecar["extras"]
             hub = extras.get("hub")
             hub_ecc = None if hub is None else extras["hub_ecc"]
-            promise = (extras["expected_a_ecc"], sidecar["witness_map"]["a"], hub, hub_ecc)
+            # A list of vertex ids, each checked against the graph in cmd_verify.
+            promise = (extras["expected_a_ecc"], list(sidecar["witness_map"]["a"]), hub, hub_ecc)
         elif ("yes" if sidecar["answer"] else "no") == sidecar["eq_side"]:
             promise = ("eq", sidecar["yes_value"])
         else:
@@ -334,10 +345,16 @@ def _read_sidecar(path):
 
 
 def cmd_verify(args):
+    _check_cap_flag(args)
     g = _load_graph(args)
     if not args.sidecar:
         raise SystemExit2("--sidecar is required for verify")
     quantity, variant, promise = _read_sidecar(args.sidecar)
+    if quantity == "eccentricities":
+        _, a_ids, hub, _ = promise
+        for v in a_ids if hub is None else [*a_ids, hub]:
+            if type(v) is not int or not 0 <= v < g.n:
+                raise SystemExit2(f"sidecar names vertex {v!r}, not in 0..{g.n - 1}")
     value = _verified_value(g, quantity, variant, args)
     if quantity == "eccentricities":
         expected, a_ids, hub, hub_ecc = promise

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import cached_property
+from itertools import chain
 
 INF = float("inf")
 
@@ -256,40 +257,57 @@ def read_graph(text):
     Header: ``p <n> <m> <D|U> <W|1>``.  Then one line per edge, 0-indexed,
     ``u v`` for unit weights or ``u v w`` when weighted; ``#`` starts a
     comment.  Undirected edges are listed once.
+
+    The edge lines are split, counted and converted in bulk, with no token
+    list kept; only a file that fails is read again line by line, for its
+    first bad line.  A bad line is reported before a wrong edge count, and
+    that before an edge out of range or a negative weight.
     """
-    header = None
-    edges = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    raws = text.splitlines()
+    lines = [raw.split("#", 1)[0] for raw in raws] if "#" in text else raws
+    counts = list(map(len, map(str.split, lines)))
+    if 0 in counts:
+        # Blank and comment-only lines.
+        kept = [i for i, c in enumerate(counts) if c]
+        raws, lines, counts = ([seq[i] for i in kept] for seq in (raws, lines, counts))
+    if not lines:
+        raise GraphFormatError("missing header line")
+    raw, parts = raws[0], lines[0].split()
+    if parts[0] != "p" or len(parts) != 5:
+        raise GraphFormatError(f"bad header line: {raw!r}")
+    try:
+        n, m = int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise GraphFormatError(f"bad header counts: {raw!r}") from exc
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative header counts: {raw!r}")
+    kind, weighted = parts[3], parts[4]
+    if kind not in ("D", "U") or weighted not in ("W", "1"):
+        raise GraphFormatError(f"bad header flags: {raw!r}")
+    arity = 3 if weighted == "W" else 2
+    raws, lines, counts = raws[1:], lines[1:], counts[1:]
+    if (counts and not min(counts) == max(counts) == arity) or len(lines) != m:
+        _check_edge_lines(raws, lines, arity)
+        raise GraphFormatError(f"header announces {m} edges, found {len(lines)}")
+    # Graph checks the range and the weights, and takes (u, v) as an edge of
+    # weight 1.
+    ints = map(int, chain.from_iterable(map(str.split, lines)))
+    try:
+        return Graph(n, zip(*[ints] * arity), undirected=(kind == "U"))
+    except ValueError:
+        # A non-integer token, or Graph's own error, which a bad line precedes.
+        _check_edge_lines(raws, lines, arity)
+        raise
+
+
+def _check_edge_lines(raws, lines, arity):
+    """Raise the GraphFormatError of the first edge line, comment stripped,
+    with the wrong number of tokens or a non-integer one."""
+    for raw, line in zip(raws, lines):
         parts = line.split()
-        if header is None:
-            if parts[0] != "p" or len(parts) != 5:
-                raise GraphFormatError(f"bad header line: {raw!r}")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError as exc:
-                raise GraphFormatError(f"bad header counts: {raw!r}") from exc
-            if n < 0 or m < 0:
-                raise GraphFormatError(f"negative header counts: {raw!r}")
-            kind, weighted = parts[3], parts[4]
-            if kind not in ("D", "U") or weighted not in ("W", "1"):
-                raise GraphFormatError(f"bad header flags: {raw!r}")
-            header = (n, m, kind, weighted)
-            continue
-        n, m, kind, weighted = header
-        if weighted == "1" and len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v': {raw!r}")
-        if weighted == "W" and len(parts) != 3:
-            raise GraphFormatError(f"expected 'u v w': {raw!r}")
+        if len(parts) != arity:
+            raise GraphFormatError(f"expected {'u v w' if arity == 3 else 'u v'!r}: {raw!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1]), int(parts[2]) if weighted == "W" else 1))
+            list(map(int, parts))
         except ValueError as exc:
             raise GraphFormatError(f"non-integer in edge line: {raw!r}") from exc
-    if header is None:
-        raise GraphFormatError("missing header line")
-    n, m, kind, _ = header
-    if len(edges) != m:
-        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
-    return Graph(n, edges, undirected=(kind == "U"))

@@ -30,6 +30,12 @@ keeps every level of both directions instead: with F_t[u] the v with
 d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, the eccentricity of u
 is the first r at which OR over t of F_t[u] & B_{r-t}[u] is full.
 
+Both sweeps are generators that yield once per level, so one level loop
+serves two readers: ``sweep_ecc`` runs it to the last level, and
+``sweep_radius`` stops it at the first level at which some eccentricity is
+found, which is the radius.  Neither computes a witness pair; that takes
+``eccentricity_report``, one shortest-path run each way.
+
 The sweep holds the last W + 1 levels, where W is the largest arc weight:
 (W + 1) n k / 8 bytes for k sources, twice that for max and min; the
 roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
@@ -37,9 +43,10 @@ roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
 a matrix or row-by-row path, when W exceeds ``SWEEP_MAX_WEIGHT``, past the
 roundtrip level bound, for ``roundtrip`` from sampled sources, and once its
 work passes a budget set against the reference's (see ``sweep_source_ecc``
-and ``_roundtrip_ecc``).  ``ecclab exact`` and ``ecclab verify`` try it
-first; the treewidth solver tries it at every recursion node, under a budget
-of what splitting the node would cost above its base cases.
+and ``_roundtrip_sweep``).  ``ecclab exact`` and ``ecclab verify`` try it
+first, a radius check by ``sweep_radius``; the treewidth solver tries it at
+every recursion node, under a budget of what splitting the node would cost
+above its base cases.
 """
 
 from __future__ import annotations
@@ -219,27 +226,33 @@ def _zero_groups(n, adj):
     return steps
 
 
-def _levels(n, adj, weight, start=None):
+def _levels(g, adj, weight, start=None):
     """Yield (F_t, settled) for t = 0, 1, 2, ...
 
     F_0 is ``start`` closed over the zero-weight arcs, and F_t[u] =
     F_{t-1}[u] | OR over arcs (u -> x, w) of F_{t-w}[x], closed the same
     way.  With the default start, F_0[v] = 1 << v, F_t[u] is the bitmask of
-    the v with d(u -> v) <= t along the arcs of adj (bit v set).  A mask
-    equal to the OR of the start masks is full and takes no more ORs.
-    settled is true once ``weight`` levels in a row brought no change: a
-    level reads only the last ``weight`` ones, so no later level changes
-    either, and every later item is the same.  Stopping at the first
-    unchanged level would be wrong when an arc of weight w > 1 has yet to
-    bring in F_{t-w}.
+    the v with d(u -> v) <= t along the arcs of adj, one of g's two
+    adjacencies (bit v set).  A mask equal to the OR of the start masks is
+    full and takes no more ORs.  settled is true once ``weight`` levels in a
+    row brought no change: a level reads only the last ``weight`` ones, so no
+    later level changes either, and every later item is the same.  Stopping
+    at the first unchanged level would be wrong when an arc of weight w > 1
+    has yet to bring in F_{t-w}.
     """
+    n = g.n
     if start is None:
         start = [1 << u for u in range(n)]
     full = reduce(or_, start, 0)
-    # Arc (u -> x, w > 0) reads entry x of F_{t-w}, which sits at
-    # (w - 1) n + x in the last `weight` levels laid end to end.
-    reads = [[(w - 1) * n + x for x, w in adj[u] if w] for u in range(n)]
-    zero = _zero_groups(n, adj)
+    if g.unit_weights:
+        reads = [[x for x, _ in arcs] for arcs in adj]
+        zero = []
+    else:
+        # Arc (u -> x, w > 0) reads entry x of F_{t-w}, which sits at
+        # (w - 1) n + x in the last `weight` levels laid end to end.
+        reads = [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj]
+        # Only the zero-weight arcs are missing from reads.
+        zero = _zero_groups(n, adj) if sum(map(len, reads)) < sum(map(len, adj)) else []
 
     def close(level):
         get = level.__getitem__
@@ -278,13 +291,33 @@ def _sweep_setup(g, budget, rows):
 def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
     """The eccentricities of ``exact_eccentricities`` from the level sweep,
     or None where ``sweep_source_ecc`` seeded at every vertex is None, or,
-    for ``roundtrip``, where ``_roundtrip_ecc`` is None."""
+    for ``roundtrip``, where ``_roundtrip_sweep`` gives up."""
+    ecc = [INF] * g.n
+    # The sweep runs to its last level unless it yields None, giving up.
+    return None if None in _sweep(g, variant, cap, budget, ecc) else ecc
+
+
+def sweep_radius(g, variant, cap=DEFAULT_CAP, budget=None):
+    """The radius of ``exact_eccentricities`` from the sweep of ``sweep_ecc``,
+    stopped at the first level at which some eccentricity is found: that
+    level is the radius, and INF when the sweep ends before it.  None where
+    the sweep gives up first."""
+    for t, left in enumerate(_sweep(g, variant, cap, budget, [INF] * g.n)):
+        if left is None:
+            return None
+        if left < g.n:
+            return t
+    return INF
+
+
+def _sweep(g, variant, cap, budget, ecc):
+    """The sweep of ``sweep_ecc`` with every vertex a source, as a generator
+    that fills in ecc; see ``_source_sweep``."""
     check_variant(g, variant)
     _check_cap(g, cap)
     if variant == ROUNDTRIP:
-        return _roundtrip_ecc(g, budget)
-    swept = sweep_source_ecc(g, variant, range(g.n), budget)
-    return None if swept is None else swept[0]
+        return _roundtrip_sweep(g, budget, ecc)
+    return _source_sweep(g, variant, range(g.n), budget, ecc, [INF] * g.n)
 
 
 def _fill(pending, masks, full, ecc, t):
@@ -309,12 +342,12 @@ def _fill(pending, masks, full, ecc, t):
 ROUNDTRIP_MAX_LEVELS = 64
 
 
-def _kept_levels(n, adj, weight):
+def _kept_levels(g, adj, weight):
     """Yield, for t = 0, 1, 2, ..., the levels [F_0, ..., F_t] of
-    ``_levels(n, adj, weight)`` until they settle, and from then on
+    ``_levels(g, adj, weight)`` until they settle, and from then on
     [F_0, ..., F_L], L the last level that brought a change."""
     kept = []
-    for level, settled in _levels(n, adj, weight):
+    for level, settled in _levels(g, adj, weight):
         if settled:
             # The last `weight` levels kept equal F_L.
             del kept[len(kept) - weight + 1:]
@@ -324,8 +357,9 @@ def _kept_levels(n, adj, weight):
         yield kept
 
 
-def _roundtrip_ecc(g, budget):
-    """Roundtrip eccentricities from the levels F_t over the forward arcs and
+def _roundtrip_sweep(g, budget, ecc):
+    """The roundtrip sweep, yielding and filling in ecc as ``_source_sweep``
+    does: roundtrip eccentricities from the levels F_t over the forward arcs and
     B_t over the reversed ones, all kept: F_t[u] holds the v with
     d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, so ecc(u) is the
     first r at which OR over t of F_t[u] & B_{r-t}[u] is full.  Past the
@@ -333,7 +367,7 @@ def _roundtrip_ecc(g, budget):
     levels at which the two directions settle, every mask is full by
     r = LF + LB.
 
-    Returns None when the largest weight exceeds SWEEP_MAX_WEIGHT, when the
+    It gives up when the largest weight exceeds SWEEP_MAX_WEIGHT, when the
     kept levels pass ROUNDTRIP_MAX_LEVELS, or once the work, the mask ANDs,
     passes ``budget``, by default n^2.  Run to the end, the sweep cost 0.07
     to 0.68 times the matrix path on 1-, 2- and 3-trees of 100 to 400
@@ -355,29 +389,32 @@ def _roundtrip_ecc(g, budget):
     n = g.n
     setup = _sweep_setup(g, budget, 4 * n)
     if setup is None:
-        return None
+        yield None
+        return
     if n == 0:
-        return []
+        return
     weight, budget = setup
     out_row, in_row = _rows(g, ROUNDTRIP, 0)
     ecc0 = max(pair_row(ROUNDTRIP, out_row, in_row))
     if ecc0 == INF:
-        return [INF] * n
+        # Not strongly connected: every eccentricity stays INF.
+        return
     # Each direction's levels change up to the largest one-way distance.
     last = max(max(out_row), max(in_row))
     floor = 0
     for r in range(ecc0):
         floor += n * (min(r, last) - max(0, r - last) + 1)
         if floor > budget:
-            return None
+            yield None
+            return
     full = (1 << n) - 1
-    ecc = [INF] * n
     pending = range(n)
     work = 0
-    levels = zip(_kept_levels(n, g.adj_out, weight), _kept_levels(n, g.adj_in, weight))
+    levels = zip(_kept_levels(g, g.adj_out, weight), _kept_levels(g, g.adj_in, weight))
     for r, (fwd, bwd) in enumerate(levels):
         if len(fwd) + len(bwd) > ROUNDTRIP_MAX_LEVELS:
-            return None
+            yield None
+            return
         # F_t for t past the last kept level is the last one, and likewise
         # B_{r-t}, so only the t from lo to hi add to the join.
         lo, hi = max(0, r - len(bwd) + 1), min(r, len(fwd) - 1)
@@ -386,11 +423,13 @@ def _roundtrip_ecc(g, budget):
         for f, b in terms:
             joined = map(or_, joined, map(and_, f, b))
         pending = _fill(pending, list(joined), full, ecc, r)
+        yield len(pending)
         if not pending:
-            return ecc
+            return
         work += n * (hi - lo + 1)
         if work > budget:
-            return None
+            yield None
+            return
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -461,28 +500,41 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     fallback together took 0.9 to 1.7 times the reference alone.
     """
     check_variant(g, variant)
-    setup = _sweep_setup(g, budget, len(sources))
-    if variant == ROUNDTRIP or setup is None:
+    if variant == ROUNDTRIP:
         return None
+    ecc, near = [INF] * len(sources), [INF] * g.n
+    # The sweep runs to its last level unless it yields None, giving up.
+    return None if None in _source_sweep(g, variant, sources, budget, ecc, near) else (ecc, near)
+
+
+def _source_sweep(g, variant, sources, budget, ecc, near):
+    """The level loop of ``sweep_source_ecc`` as a generator: after each
+    level t it fills in the ecc and near entries found at t and yields how
+    many eccentricities are still unknown, and it stops after the last
+    level.  Where the sweep gives up it yields None and stops.  A caller
+    that needs only the first levels stops taking items, and no later level
+    is built."""
+    setup = _sweep_setup(g, budget, len(sources))
+    if setup is None:
+        yield None
+        return
     weight, budget = setup
     n = g.n
     start = [0] * n
     for i, s in enumerate(sources):
         start[s] = 1 << i
     full = (1 << len(sources)) - 1
-    levels = _levels(n, g.adj_in, weight, start)
+    levels = _levels(g, g.adj_in, weight, start)
     # On an undirected graph the sweeps over both arc directions are one.
     if variant in (MAX, MIN) and not g.undirected:
         join = and_ if variant == MAX else or_
         levels = (
             (list(map(join, f, b)), f_settled and b_settled)
-            for (f, f_settled), (b, b_settled) in zip(levels, _levels(n, g.adj_out, weight, start))
+            for (f, f_settled), (b, b_settled) in zip(levels, _levels(g, g.adj_out, weight, start))
         )
     # With every vertex a source and a symmetric join, mask v is also the
     # row of source v, so ecc[v] is the first level at which it is full.
     by_row = sources == range(n) and (variant != SOURCE or g.undirected)
-    ecc = [INF] * len(sources)
-    near = [INF] * n
     pending = range(n)
     unseen = range(n)
     common = 0
@@ -497,6 +549,7 @@ def sweep_source_ecc(g, variant, sources, budget=None):
         unseen = left
         if by_row:
             pending = _fill(pending, masks, full, ecc, t)
+            yield len(pending)
         else:
             pending = [v for v in pending if masks[v] != full]
             # Bits enter the AND of all masks for good, since masks only grow.
@@ -506,11 +559,13 @@ def sweep_source_ecc(g, variant, sources, budget=None):
                 low = new & -new
                 ecc[low.bit_length() - 1] = t
                 new ^= low
+            yield len(sources) - common.bit_count()
         if not pending or settled:
-            return ecc, near
+            return
         work += len(pending)
         if work > budget:
-            return None
+            yield None
+            return
 
 
 def sampled_ecc(g, variant, sources):
@@ -537,7 +592,7 @@ def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     sums = [0] * n
     pending = range(n)
     work = 0
-    for masks, settled in _levels(n, g.adj_out, weight):
+    for masks, settled in _levels(g, g.adj_out, weight):
         pending = [u for u in pending if masks[u] != full]
         for u in pending:
             sums[u] += n - masks[u].bit_count()

@@ -7,7 +7,7 @@ import itertools
 import random
 
 from ecclab.cli import build_parser
-from ecclab.graph import INF, Graph, shortest_paths
+from ecclab.graph import INF, Graph, GraphFormatError, shortest_paths
 from ecclab.oracle import EccentricityReport
 from ecclab.reduce23 import (
     DIAMETER,
@@ -82,6 +82,44 @@ def reference_report(g, variant):
         None,
     )
     return EccentricityReport(variant, ecc, radius, diameter, ecc.index(radius), witness)
+
+
+def reference_read_graph(text):
+    """The graph text format parsed one line at a time, raising the first
+    fault in file order: the line-by-line parser that ``read_graph``'s bulk
+    parse must agree with, message for message."""
+    header = None
+    edges = []
+    for raw in text.splitlines():
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if header is None:
+            if parts[0] != "p" or len(parts) != 5:
+                raise GraphFormatError(f"bad header line: {raw!r}")
+            try:
+                n, m = int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise GraphFormatError(f"bad header counts: {raw!r}") from exc
+            if n < 0 or m < 0:
+                raise GraphFormatError(f"negative header counts: {raw!r}")
+            if parts[3] not in ("D", "U") or parts[4] not in ("W", "1"):
+                raise GraphFormatError(f"bad header flags: {raw!r}")
+            header = (n, m, parts[3], parts[4])
+            continue
+        weighted = header[3] == "W"
+        if len(parts) != 2 + weighted:
+            raise GraphFormatError(f"expected {'u v w' if weighted else 'u v'!r}: {raw!r}")
+        try:
+            edges.append((int(parts[0]), int(parts[1]), int(parts[2]) if weighted else 1))
+        except ValueError as exc:
+            raise GraphFormatError(f"non-integer in edge line: {raw!r}") from exc
+    if header is None:
+        raise GraphFormatError("missing header line")
+    n, m, kind, _ = header
+    if len(edges) != m:
+        raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
+    return Graph(n, edges, undirected=(kind == "U"))
 
 
 def random_digraph(rng, n, m, max_weight=1):

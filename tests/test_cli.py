@@ -1,14 +1,18 @@
 import json
+from argparse import Namespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import cli_flags
-from ecclab.cli import SHARED_FLAGS, SystemExit2, _read_sidecar, main
+from conftest import cli_flags, floyd_warshall, reference_report
+from ecclab import oracle
+from ecclab.cli import GADGET_KINDS, SHARED_FLAGS, SystemExit2, _read_sidecar, main
+from ecclab.gadgets import GadgetError
 from ecclab.graph import Graph, write_graph
-from ecclab.oracle import VARIANTS
+from ecclab.oracle import VARIANTS, sweep_ecc
 from ecclab.seeds import substream
+from ecclab.setsystem import random_instance, solve_set_system
 from ecclab.treewidth import generate_partial_ktree
 
 
@@ -233,6 +237,13 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
 PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
 
 
+def ecc_sidecar(a_ids, hub=None):
+    """An eccentricities sidecar naming the vertices a_ids and the hub."""
+    extras = {"expected_a_ecc": [1] * len(a_ids), "hub": hub, "hub_ecc": 1}
+    return json.dumps({"quantity": "eccentricities", "variant": "undirected", "extras": extras,
+                       "witness_map": {"a": a_ids}})
+
+
 @pytest.mark.parametrize("files, argv", [
     ({"g.graph": "p 2 1 U 1\n0 x\n"}, ["exact", "--input", "g.graph"]),
     ({"g.graph": GOOD_GRAPH, "g.td": "s td 1 3 2\nb 1 0 1 y\n"},
@@ -298,6 +309,21 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
         {"quantity": "median", "variant": "undirected", "answer": True, "eq_side": "yes",
          "yes_value": 2, "no_bound": 3})},
      ["verify", "--input", "g.graph", "--sidecar", "g.json", "--td", "missing.td"]),
+    ({"g.graph": PATH3}, ["exact", "--input", "g.graph", "--cap", "-1"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json", "--cap", "-1"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([0, 999])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([-1])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1], hub=3)},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1], hub=-3)},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar(["1"])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1.0])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
@@ -305,7 +331,9 @@ PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
         "td-header-size", "td-header-n", "td-header-twice", "verify-td-header-n", "approx-dag-cycle",
         "approx-dag-undirected", "approx-weighted", "approx-epsilon-zero", "reduce-rounds-zero",
         "reduce-rounds-negative", "reduce-delta-negative", "gen-density-high", "gen-density-nan",
-        "gen-keep-prob-high", "gen-keep-prob-negative", "sidecar-quantity", "verify-median-td"])
+        "gen-keep-prob-high", "gen-keep-prob-negative", "sidecar-quantity", "verify-median-td",
+        "exact-cap-negative", "verify-cap-negative", "sidecar-vertex-high", "sidecar-vertex-negative",
+        "sidecar-hub-high", "sidecar-hub-negative", "sidecar-vertex-string", "sidecar-vertex-float"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -346,3 +374,82 @@ def test_read_sidecar_returns_triple_or_usage_error(tmp_path, doc):
     except SystemExit2:
         return
     assert isinstance(promise, tuple)
+
+
+def gadget_with_answer(kind, answer):
+    """A small gadget of ``kind``, built as ``ecclab gen`` builds it, whose
+    set-system answer is ``answer``."""
+    mode, build = GADGET_KINDS[kind]
+    rng = substream(5, f"verify:{kind}:{answer}")
+    while True:
+        inst = random_instance(rng.randint(2, 6), rng.randint(2, 6), rng.randint(2, 5), mode, rng,
+                               density=rng.uniform(0.2, 0.8))
+        if solve_set_system(inst)[0] == answer:
+            try:
+                return build(inst, Namespace(t=None, sparsify=False))
+            except GadgetError:
+                pass
+
+
+@pytest.mark.parametrize("answer", [True, False], ids=["yes", "no"])
+@pytest.mark.parametrize("kind", sorted(GADGET_KINDS))
+def test_verify_computes_the_reference_value(tmp_path, capsys, kind, answer):
+    # verify prints the value it computed, whatever path computed it: the
+    # radius sweep, the full sweep or the matrix path.
+    out = gadget_with_answer(kind, answer)
+    g = out.graph
+    (tmp_path / "g.graph").write_text(write_graph(g))
+    (tmp_path / "g.json").write_text(out.to_sidecar_json())
+    code, printed, _ = run(["verify", "--input", str(tmp_path / "g.graph"),
+                            "--sidecar", str(tmp_path / "g.json")], capsys)
+    if out.quantity == "eccentricities":
+        ecc = reference_report(g, out.variant).ecc
+        got = [ecc[v] for v in out.witness_map["a"]]
+        ok = got == out.extras["expected_a_ecc"] and ecc[out.extras["hub"]] == out.extras["hub_ecc"]
+        assert printed.endswith(f" got={got}\n")
+    else:
+        if out.quantity == "median":
+            value = min(sum(row) for row in floyd_warshall(g))
+        else:
+            report = reference_report(g, out.variant)
+            value = report.radius if out.quantity == "radius" else report.diameter
+        rel, target = out.expected()
+        ok = value == target if rel == "eq" else value >= target
+        assert printed.endswith(f", computed {value}\n")
+    assert code == (0 if ok else 1)
+
+
+def spider(legs, length):
+    """A centre, vertex 0, with ``legs`` paths of ``length`` vertices each."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges += [(0, first)] + [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph(1 + legs * length, edges, undirected=True)
+
+
+def test_radius_verify_stops_the_sweep_at_the_radius(tmp_path, monkeypatch, capsys):
+    # Radius 20 at the centre, diameter 40 between two leaves: a radius
+    # check reads levels 0..20, where the full sweep reads 0..40.
+    g = spider(20, 20)
+    levels = []
+    plain = oracle._levels
+
+    def counted(*args):
+        for item in plain(*args):
+            levels.append(item)
+            yield item
+
+    monkeypatch.setattr(oracle, "_levels", counted)
+    # A vertex at depth k of a leg is 20 + k from the leaves of the others.
+    assert sweep_ecc(g, "undirected") == [20] + list(range(21, 41)) * 20
+    assert len(levels) == 41
+    (tmp_path / "g.graph").write_text(write_graph(g))
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"quantity": "radius", "variant": "undirected", "answer": True, "eq_side": "yes",
+         "yes_value": 20, "no_bound": 21}))
+    levels.clear()
+    code, printed, _ = run(["verify", "--input", str(tmp_path / "g.graph"),
+                            "--sidecar", str(tmp_path / "g.json")], capsys)
+    assert (code, printed) == (0, "PASS radius eq 20, computed 20\n")
+    assert len(levels) <= 21

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, random_digraph
+from conftest import floyd_warshall, random_digraph, reference_read_graph
 from ecclab.graph import (
     INF,
     BACKWARD,
@@ -171,3 +171,75 @@ def test_parsers_raise_only_format_errors(text):
         read_td(text, 3)
     except DecompositionError:
         pass
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "missing header line"),
+    ("# only a comment\n\n   \n", "missing header line"),
+    ("q 2 1 U 1\n0 1\n", "bad header line: 'q 2 1 U 1'"),
+    ("p 2 1 U\n0 1\n", "bad header line: 'p 2 1 U'"),
+    ("p two 1 U 1\n0 1\n", "bad header counts: 'p two 1 U 1'"),
+    ("p 2 -1 U 1\n", "negative header counts: 'p 2 -1 U 1'"),
+    ("p 2 1 X 1\n0 1\n", "bad header flags: 'p 2 1 X 1'"),
+    ("p 2 1 U 2\n0 1\n", "bad header flags: 'p 2 1 U 2'"),
+    ("p 3 2 U 1\n0 1\n1 2 5\n", "expected 'u v': '1 2 5'"),
+    ("p 3 2 D W\n0 1 4\n1 2\n", "expected 'u v w': '1 2'"),
+    ("p 3 2 U 1\n0 1  # first\n1 x # second\n", "non-integer in edge line: '1 x # second'"),
+    ("p 3 2 D W\n0 1 2.5\n1 2 1\n", "non-integer in edge line: '0 1 2.5'"),
+    # The first bad line in file order decides, whichever its fault.
+    ("p 3 3 U 1\n0 1\n1 y\n1 2 3\n", "non-integer in edge line: '1 y'"),
+    ("p 3 3 U 1\n0 1\n1 2 3\n1 y\n", "expected 'u v': '1 2 3'"),
+    ("p 3 3 U 1\n0 1\n1 2\n", "header announces 3 edges, found 2"),
+    ("p 3 1 U 1\n0 1\n1 2\n", "header announces 1 edges, found 2"),
+    ("p 3 2 U 1\n0 1\n1 3\n", "edge (1,3) out of range for n=3"),
+    ("p 3 2 D W\n0 1 -2\n1 2 1\n", "edge weight must be a nonnegative int, got -2"),
+    # Malformed lines are found before the edge count and the vertex range.
+    ("p 3 9 U 1\n0 7\n\n1 z\n", "non-integer in edge line: '1 z'"),
+    ("p 3 2 U 1\n5 1\n1 2 3\n", "expected 'u v': '1 2 3'"),
+    ("p 3 5 U 1\n0 9\n1 2\n", "header announces 5 edges, found 2"),
+], ids=["empty", "comments-only", "header-tag", "header-arity", "header-counts",
+        "header-negative", "header-kind", "header-weighted", "arity-unit", "arity-weighted",
+        "non-integer", "non-integer-weight", "first-bad-line-non-integer",
+        "first-bad-line-arity", "count-short", "count-long", "range", "negative-weight",
+        "non-integer-beats-count-and-range", "arity-beats-range", "count-beats-range"])
+def test_read_graph_messages(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        read_graph(text)
+    assert str(err.value) == message
+
+
+def test_read_graph_skips_comments_and_blank_lines():
+    text = "# a path\n\np 3 2 U W  # header\n  \n0 1 4 # first\n# between\n1 2 0\n\n"
+    g = read_graph(text)
+    assert (g.n, g.undirected, g.edges) == (3, True, [(0, 1, 4), (1, 2, 0)])
+    assert read_graph("p 2 1 D 1\n1 0\n").edges == [(1, 0, 1)]
+
+
+# Graph texts near the format: a header, then edge lines of small integers,
+# now and then a wrong arity, a stray token, a comment or a blank line.
+_EDGE_TOKENS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "1.5", "+2", "#"]))
+_GRAPH_TEXT = st.builds(
+    lambda header, lines, end: "\n".join([header, *lines]) + end,
+    st.builds("p {} {} {} {}".format, st.integers(-1, 4), st.integers(0, 5),
+              st.sampled_from("DUX"), st.sampled_from("W1")),
+    st.lists(st.one_of(
+        st.lists(st.integers(-1, 4).map(str), min_size=2, max_size=3).map(" ".join),
+        st.lists(_EDGE_TOKENS, max_size=4).map(" ".join),
+        st.sampled_from(["", "  ", "# note"]),
+    ), max_size=6),
+    st.sampled_from(["", "\n"]),
+)
+
+
+def _parsed(parse, text):
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.undirected, g.edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(_GRAPH_TEXT)
+def test_read_graph_matches_the_line_by_line_parser(text):
+    assert _parsed(read_graph, text) == _parsed(reference_read_graph, text)

@@ -29,6 +29,7 @@ from ecclab.oracle import (
     sweep_ecc,
     sweep_eccentricities,
     sweep_median,
+    sweep_radius,
     sweep_source_ecc,
 )
 
@@ -276,6 +277,34 @@ def test_sweep_fixed_values():
     assert ecc(path, "undirected") == [11, 10, 6, 11]
     assert sweep_eccentricities(path, "undirected", budget=INF).witness == (0, 3)
     assert median(path) == (1, 16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zero_heavy_graphs())
+def test_sweep_radius_matches_reference(g):
+    for variant in _variants(g):
+        assert sweep_radius(g, variant, None, budget=INF) == reference_report(g, variant).radius
+
+
+def test_sweep_radius_fixed_values():
+    for g in SWEEP_CASES:
+        for variant in _variants(g):
+            assert sweep_radius(g, variant, budget=INF) == reference_report(g, variant).radius
+    # The radius sweep stops at level 5, the radius, after 5 levels of 10
+    # masks to fill; the full sweep needs 70 (see the test below).
+    path = Graph(10, [(i, i + 1, 1) for i in range(9)], undirected=True)
+    assert sweep_radius(path, "undirected", budget=50) == 5
+    assert sweep_ecc(path, "undirected", budget=50) is None
+    assert sweep_radius(path, "undirected", budget=49) is None
+    # A directed path: only the source at its head reaches every vertex.
+    line = Graph(6, [(i, i + 1, 2) for i in range(5)])
+    assert sweep_radius(line, "source", budget=INF) == 10
+    assert sweep_radius(line, "max", budget=INF) == INF
+    assert sweep_radius(line, "min", budget=INF) == 6
+    assert sweep_radius(line, "roundtrip", budget=INF) == INF
+    heavy = Graph(2, [(0, 1, SWEEP_MAX_WEIGHT + 1), (1, 0, 1)])
+    for variant in ("source", "max", "min", "roundtrip"):
+        assert sweep_radius(heavy, variant, budget=INF) is None
 
 
 def test_sweep_falls_back_on_roundtrip_and_heavy_weights():

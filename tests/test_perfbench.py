@@ -4,6 +4,7 @@ its job lists are ecclab command lines.  These tests read perfbench and
 change nothing under it, so a rename or a dropped flag fails here too."""
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
@@ -74,3 +75,21 @@ def test_tracer_sees_the_dag_routines(perfbench, tmp_path, capsys):
     capsys.readouterr()
     spans = {tracer.names[i] for i in tracer.name}
     assert {"approx.center", "graph.scc", "graph.truncated"} <= spans
+
+
+def test_tracer_sees_the_radius_fallback(perfbench, tmp_path, capsys):
+    # Weights above the sweep's limit make a radius verify fall back to the
+    # matrix path, which it calls by cli's name, where the tracer wraps it.
+    tracing = perfbench("tracing")
+    path, sidecar = tmp_path / "heavy.graph", tmp_path / "heavy.json"
+    path.write_text(write_graph(Graph(3, [(0, 1, 40), (1, 2, 50), (2, 0, 60)])))
+    sidecar.write_text(json.dumps({"quantity": "radius", "variant": "source", "answer": True,
+                                   "eq_side": "yes", "yes_value": 90, "no_bound": 91}))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify", "--input", str(path), "--sidecar", str(sidecar)]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "PASS radius eq 90, computed 90\n"
+    assert "oracle.ecc:cli" in {tracer.names[i] for i in tracer.name}
