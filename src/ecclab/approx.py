@@ -51,21 +51,22 @@ def approx_source_radius(g, rng):
     """2-approximation of the source radius R = min_v max_u d(v -> u).
 
     Deterministically estimate >= R; estimate <= 2R with high probability.
-    The estimate is the exact source eccentricity of the returned witness,
-    the first sampled vertex with the least eccentricity.
+    Steps: the exact eccentricities of a random sample S; w, the first vertex
+    farthest from S, by one search from all of S; those of the ⌈√n⌉ vertices
+    with the least d(. -> w), less S.  The estimate is the least of them, that
+    of the returned witness, the first sampled vertex attaining it.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
     size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n)))) if n > 1 else 1
     s1 = sorted(sample_vertex_set(n, size1, rng))
-    ecc1, near = sampled_ecc(g, SOURCE, s1)
-
-    # w maximizes its distance to the sample (covered worst vertex).
+    ecc1 = sampled_ecc(g, SOURCE, s1)
+    near = shortest_paths(g, s1, FORWARD)
     w = near.index(max(near))
     size2 = math.ceil(math.sqrt(n))
     s2 = sorted({v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)}.difference(s1))
-    ecc2, _ = sampled_ecc(g, SOURCE, s2)
+    ecc2 = sampled_ecc(g, SOURCE, s2)
 
     best, witness = min(zip(ecc1 + ecc2, s1 + s2))
     return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
@@ -86,7 +87,7 @@ def approx_min_diameter(g, rng, epsilon):
         raise ValueError("empty graph")
     size = min(n, max(1, math.ceil(SAMPLE_C * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
     sample = sorted(sample_vertex_set(n, size, rng))
-    ecc, _ = sampled_ecc(g, MIN, sample)
+    ecc = sampled_ecc(g, MIN, sample)
     est = 1 if g.m else 0
     witness = None
     # The witness is the first vertex at the largest distance from the first

@@ -3,9 +3,9 @@ treewidth solver, the 2-vs-3 reduction and sidecar verification.
 
 Each subcommand takes only the flags it reads: the shared ones it names from
 SHARED_FLAGS (see build_parser) plus its own.  Exit codes: 0 success/PASS,
-1 verification FAIL, 2 usage error (an unknown or abbreviated flag among
-them), 3 capacity cap exceeded.  All randomness flows from --seed through
-named substreams, so one seed reproduces a run byte for byte.
+1 verification FAIL, 2 usage error (a bad flag or an unreadable or malformed
+file among them), 3 capacity cap exceeded.  All randomness flows from --seed
+through named substreams, so one seed reproduces a run byte for byte.
 """
 
 from __future__ import annotations
@@ -103,8 +103,11 @@ def _t_even(inst, args):
 
 
 def _read_text(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _write_text(path, text):
@@ -321,9 +324,16 @@ def _verified_value(g, quantity, variant, args):
     return max(ecc) if quantity == "diameter" else ecc
 
 
+def _integer(value, name):
+    """value, if it is an integer; a JSON true or false is not."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def _read_sidecar(path):
-    """The sidecar's quantity, variant and promise.  Every field is read
-    before any solving, so a malformed sidecar is a usage error."""
+    """The sidecar's quantity, variant and promise.  Every field is read and
+    type-checked before any solving, so a malformed sidecar is a usage error."""
     try:
         sidecar = json.loads(_read_text(path))
         quantity, variant = sidecar["quantity"], sidecar["variant"]
@@ -332,13 +342,19 @@ def _read_sidecar(path):
         if quantity == "eccentricities":
             extras = sidecar["extras"]
             hub = extras.get("hub")
-            hub_ecc = None if hub is None else extras["hub_ecc"]
+            hub_ecc = None if hub is None else _integer(extras["hub_ecc"], "hub_ecc")
             # A list of vertex ids, each checked against the graph in cmd_verify.
-            promise = (extras["expected_a_ecc"], list(sidecar["witness_map"]["a"]), hub, hub_ecc)
-        elif ("yes" if sidecar["answer"] else "no") == sidecar["eq_side"]:
-            promise = ("eq", sidecar["yes_value"])
+            a_ids = list(sidecar["witness_map"]["a"])
+            expected = [_integer(e, "expected_a_ecc entry") for e in extras["expected_a_ecc"]]
+            if len(expected) != len(a_ids):
+                raise ValueError("expected_a_ecc does not give one value per witness_map.a vertex")
+            promise = (expected, a_ids, hub, hub_ecc)
         else:
-            promise = ("ge", sidecar["no_bound"])
+            answer, eq_side = sidecar["answer"], sidecar["eq_side"]
+            if type(answer) is not bool or eq_side not in ("yes", "no"):
+                raise ValueError("answer must be true or false, and eq_side 'yes' or 'no'")
+            rel, key = ("eq", "yes_value") if answer == (eq_side == "yes") else ("ge", "no_bound")
+            promise = (rel, _integer(sidecar[key], key))
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as exc:
         raise SystemExit2(f"malformed sidecar {path}: {type(exc).__name__} {exc}") from exc
     return quantity, variant, promise
@@ -449,7 +465,7 @@ def main(argv=None):
         return exc.code if exc.code in (0, USAGE_ERROR) else USAGE_ERROR
     try:
         return args.func(args)
-    except (SystemExit2, GraphFormatError, VariantError, DecompositionError, FileNotFoundError) as exc:
+    except (SystemExit2, GraphFormatError, VariantError, DecompositionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except CapacityError as exc:

@@ -93,15 +93,18 @@ class Graph:
 
 
 def shortest_paths(g, source, direction=FORWARD):
-    """Single-source distances; BFS when all weights are 1, Dijkstra otherwise."""
+    """d(source -> v) for every v, or d(v -> source) BACKWARD, by BFS when all
+    weights are 1 and Dijkstra otherwise.  ``source`` may be a list of
+    vertices, all seeded at 0; d is then to the nearest (INF if it is empty)."""
     if direction not in (FORWARD, BACKWARD):
         raise ValueError(f"unknown direction {direction!r}")
     adj = g.adj_out if direction == FORWARD else g.adj_in
-    n = g.n
-    dist = [INF] * n
-    dist[source] = 0
+    sources = source if isinstance(source, list) else [source]
+    dist = [INF] * g.n
+    for s in sources:
+        dist[s] = 0
     if g.unit_weights:
-        q = deque([source])
+        q = deque(sources)
         while q:
             u = q.popleft()
             du = dist[u] + 1
@@ -110,7 +113,8 @@ def shortest_paths(g, source, direction=FORWARD):
                     dist[v] = du
                     q.append(v)
     else:
-        heap = [(0, source)]
+        heap = [(0, s) for s in sources]
+        heapq.heapify(heap)
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u]:

@@ -20,10 +20,11 @@ source, entry v of level t holds the sources within pair distance t of v
 with the one over the forward arcs), and the eccentricity of source u is
 the first level at which bit u is in every joined mask.  ``sweep_ecc`` and
 ``sweep_eccentricities`` seed it at every vertex; ``sampled_ecc`` seeds it
-at the samples of ``approx`` and falls back to ``exact_source_ecc``, the
-row-by-row reference.  ``sweep_median`` runs the sweep over the forward arcs
-from every vertex and reads rows: F_t[u], the v with d(u -> v) <= t, and
-the distance sum of u is the total over t of n - popcount(F_t[u]).
+at the samples of ``approx`` and returns their eccentricities alone, each
+from one shortest-path run each way where the sweep gives up.
+``sweep_median`` runs the sweep over the forward arcs from every vertex and
+reads rows: F_t[u], the v with d(u -> v) <= t, and the distance sum of u is
+the total over t of n - popcount(F_t[u]).
 
 Roundtrip is not a threshold of the two one-way masks, so ``sweep_ecc``
 keeps every level of both directions instead: with F_t[u] the v with
@@ -317,7 +318,7 @@ def _sweep(g, variant, cap, budget, ecc):
     _check_cap(g, cap)
     if variant == ROUNDTRIP:
         return _roundtrip_sweep(g, budget, ecc)
-    return _source_sweep(g, variant, range(g.n), budget, ecc, [INF] * g.n)
+    return _source_sweep(g, variant, range(g.n), budget, ecc)
 
 
 def _fill(pending, masks, full, ecc, t):
@@ -382,7 +383,7 @@ def _roundtrip_sweep(g, budget, ecc):
     direction changing up to the largest one-way distance from or to vertex
     0 at least, so a sweep whose work would pass the budget by then does not
     start.  The 74 roundtrip base cases of the tw solver on the benchmark's
-    ``tw-ktree`` seed 1 (7 to 60 vertices, eccentricities near n) took 1.9
+    ``tw-ktree`` seed 1 (7 to 60 vertices, eccentricities close to n) took 1.9
     to 2.1 times the matrix path without that guard, for sweeps that gave
     up and then the matrix path, and 1.3 times with it (4 of them start).
     """
@@ -456,33 +457,17 @@ def _rows(g, variant, u):
     return out_row, shortest_paths(g, u, BACKWARD)
 
 
-def exact_source_ecc(g, variant, sources):
-    """(ecc, near) for a list of distinct source vertices, one shortest-path
-    run each way per source: ecc[i] is the eccentricity of sources[i] under
-    the variant, and near[v] the least pair distance from a source to v (INF
-    for every v when there is no source)."""
-    check_variant(g, variant)
-    ecc = []
-    near = [INF] * g.n
-    for s in sources:
-        row = list(pair_row(variant, *_rows(g, variant, s)))
-        ecc.append(max(row))
-        # A comparison per entry costs a third of a call to the builtin min.
-        near = [d if d < e else e for d, e in zip(row, near)]
-    return ecc, near
-
-
 def sweep_source_ecc(g, variant, sources, budget=None):
-    """``exact_source_ecc`` from one level sweep seeded at the sources, or
-    None: for ``roundtrip``, when the largest weight exceeds
-    SWEEP_MAX_WEIGHT, or once the sweep's work passes ``budget``.
+    """The variant's eccentricities of distinct source vertices, in order, by
+    one level sweep seeded at them, or None: for ``roundtrip``, when the
+    largest weight exceeds SWEEP_MAX_WEIGHT, or once its work passes ``budget``.
 
     Source i has bit i.  Over the reversed arcs, entry v of level t holds the
     i with d(s_i -> v) <= t; over the forward arcs, the i with
     d(v -> s_i) <= t.  Max joins the two by AND and min by OR, so an entry
     of the join holds the i whose pair distance to v is at most t.  ecc[i]
-    is the first t at which bit i is set in every joined mask, near[v] the
-    first t at which v's mask is not empty, and INF where that never comes.
+    is the first t at which bit i is set in every joined mask, and INF where
+    that never comes.
 
     The work is the number of masks found not full, summed over the levels;
     a level does its ORs only for those.  The default budget is
@@ -502,18 +487,17 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     check_variant(g, variant)
     if variant == ROUNDTRIP:
         return None
-    ecc, near = [INF] * len(sources), [INF] * g.n
+    ecc = [INF] * len(sources)
     # The sweep runs to its last level unless it yields None, giving up.
-    return None if None in _source_sweep(g, variant, sources, budget, ecc, near) else (ecc, near)
+    return None if None in _source_sweep(g, variant, sources, budget, ecc) else ecc
 
 
-def _source_sweep(g, variant, sources, budget, ecc, near):
+def _source_sweep(g, variant, sources, budget, ecc):
     """The level loop of ``sweep_source_ecc`` as a generator: after each
-    level t it fills in the ecc and near entries found at t and yields how
-    many eccentricities are still unknown, and it stops after the last
-    level.  Where the sweep gives up it yields None and stops.  A caller
-    that needs only the first levels stops taking items, and no later level
-    is built."""
+    level t it fills in the eccentricities found at t and yields how many
+    are still unknown, and it stops after the last level.  Where the sweep
+    gives up it yields None and stops.  A caller that needs only the first
+    levels stops taking items, and no later level is built."""
     setup = _sweep_setup(g, budget, len(sources))
     if setup is None:
         yield None
@@ -536,17 +520,9 @@ def _source_sweep(g, variant, sources, budget, ecc, near):
     # row of source v, so ecc[v] is the first level at which it is full.
     by_row = sources == range(n) and (variant != SOURCE or g.undirected)
     pending = range(n)
-    unseen = range(n)
     common = 0
     work = 0
     for t, (masks, settled) in enumerate(levels):
-        left = []
-        for v in unseen:
-            if masks[v]:
-                near[v] = t
-            else:
-                left.append(v)
-        unseen = left
         if by_row:
             pending = _fill(pending, masks, full, ecc, t)
             yield len(pending)
@@ -569,9 +545,11 @@ def _source_sweep(g, variant, sources, budget, ecc, near):
 
 
 def sampled_ecc(g, variant, sources):
-    """``exact_source_ecc`` by ``sweep_source_ecc`` where that answers, and
-    by one shortest-path run each way per source where it gives up."""
-    return sweep_source_ecc(g, variant, sources) or exact_source_ecc(g, variant, sources)
+    """The eccentricities of the sources, as ``sweep_source_ecc`` gives them
+    where it answers, and from one shortest-path run each way per source
+    where it gives up."""
+    ecc = sweep_source_ecc(g, variant, sources)
+    return [max(pair_row(variant, *_rows(g, variant, s))) for s in sources] if ecc is None else ecc
 
 
 def sweep_median(g, cap=DEFAULT_CAP, budget=None):

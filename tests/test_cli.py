@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cli_flags, floyd_warshall, reference_report
 from ecclab import oracle
-from ecclab.cli import GADGET_KINDS, SHARED_FLAGS, SystemExit2, _read_sidecar, main
+from ecclab.cli import GADGET_KINDS, QUANTITIES, SHARED_FLAGS, SystemExit2, _read_sidecar, main
 from ecclab.gadgets import GadgetError
 from ecclab.graph import Graph, write_graph
 from ecclab.oracle import VARIANTS, sweep_ecc
@@ -237,11 +237,19 @@ GOOD_GRAPH = "p 2 1 U 1\n0 1\n"
 PATH3 = "p 3 2 U 1\n0 1\n1 2\n"
 
 
-def ecc_sidecar(a_ids, hub=None):
-    """An eccentricities sidecar naming the vertices a_ids and the hub."""
-    extras = {"expected_a_ecc": [1] * len(a_ids), "hub": hub, "hub_ecc": 1}
+def ecc_sidecar(a_ids, hub=None, expected=None, hub_ecc=1):
+    """An eccentricities sidecar naming the vertices a_ids and the hub,
+    promising eccentricity 1 for each unless ``expected`` is given."""
+    extras = {"expected_a_ecc": [1] * len(a_ids) if expected is None else expected, "hub": hub,
+              "hub_ecc": hub_ecc}
     return json.dumps({"quantity": "eccentricities", "variant": "undirected", "extras": extras,
                        "witness_map": {"a": a_ids}})
+
+
+def radius_sidecar(**fields):
+    """A radius sidecar for PATH3 (radius 1), its fields overridden by ``fields``."""
+    return json.dumps({"quantity": "radius", "variant": "undirected", "answer": True,
+                       "eq_side": "yes", "yes_value": 1, "no_bound": 2, **fields})
 
 
 @pytest.mark.parametrize("files, argv", [
@@ -324,6 +332,20 @@ def ecc_sidecar(a_ids, hub=None):
      ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
     ({"g.graph": PATH3, "g.json": ecc_sidecar([1.0])},
      ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": radius_sidecar(answer=False, no_bound="abc")},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": radius_sidecar(yes_value="1")},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": radius_sidecar(yes_value=True)},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": radius_sidecar(answer="no")},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": radius_sidecar(eq_side="maybe")},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1, 0], expected=[1])},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
+    ({"g.graph": PATH3, "g.json": ecc_sidecar([1], hub=1, hub_ecc="1")},
+     ["verify", "--input", "g.graph", "--sidecar", "g.json"]),
 ], ids=["graph-edge", "td-bag", "sidecar-empty", "sidecar-deep", "td-vertex-high", "td-vertex-negative",
         "graph-empty", "graph-negative-n", "gen-dg-size", "gen-ktree-n", "gen-ktree-k",
         "gen-negative-d", "gen-ktree-no-output", "gen-gadget-no-output", "graph-self-loop-weight",
@@ -333,7 +355,10 @@ def ecc_sidecar(a_ids, hub=None):
         "reduce-rounds-negative", "reduce-delta-negative", "gen-density-high", "gen-density-nan",
         "gen-keep-prob-high", "gen-keep-prob-negative", "sidecar-quantity", "verify-median-td",
         "exact-cap-negative", "verify-cap-negative", "sidecar-vertex-high", "sidecar-vertex-negative",
-        "sidecar-hub-high", "sidecar-hub-negative", "sidecar-vertex-string", "sidecar-vertex-float"])
+        "sidecar-hub-high", "sidecar-hub-negative", "sidecar-vertex-string", "sidecar-vertex-float",
+        "sidecar-no-bound-string", "sidecar-yes-value-string", "sidecar-yes-value-bool",
+        "sidecar-answer-string", "sidecar-eq-side", "sidecar-expected-short",
+        "sidecar-hub-ecc-string"])
 def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, argv):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -341,6 +366,52 @@ def test_malformed_input_is_usage_error(tmp_path, monkeypatch, capsys, files, ar
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Each path flag, with BAD standing for a path it cannot read or write.
+READ_FLAGS = [
+    ["exact", "--input", "BAD"],
+    ["approx", "--input", "BAD", "--algorithm", "source-radius"],
+    ["tw", "--input", "BAD"],
+    ["reduce", "--input", "BAD", "--target", "diameter"],
+    ["verify", "--input", "BAD", "--sidecar", "g.json"],
+    ["tw", "--input", "g.graph", "--td", "BAD"],
+    ["verify", "--input", "g.graph", "--sidecar", "BAD"],
+    ["verify", "--input", "g.graph", "--sidecar", "g.json", "--td", "BAD"],
+]
+WRITE_FLAGS = [
+    ["exact", "--input", "g.graph", "--output", "BAD"],
+    ["approx", "--input", "g.graph", "--algorithm", "source-radius", "--output", "BAD"],
+    ["tw", "--input", "g.graph", "--output", "BAD"],
+    ["reduce", "--input", "g.graph", "--target", "diameter", "--output", "BAD"],
+]
+
+
+UNREADABLE = [
+    *[("directory", argv) for argv in READ_FLAGS + WRITE_FLAGS],
+    *[("binary", argv) for argv in READ_FLAGS],
+    # gen writes <prefix>.graph, here under a path whose parent is a file.
+    ("binary", ["gen", "--kind", "dg", "--output", "BAD/g"]),
+]
+
+
+@pytest.mark.parametrize("bad, argv", UNREADABLE, ids=[
+    f"{bad}-{argv[0]}{next(f for f, v in zip(argv, argv[1:]) if v.startswith('BAD'))}"
+    for bad, argv in UNREADABLE])
+def test_unreadable_path_is_usage_error(tmp_path, monkeypatch, capsys, bad, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.graph").write_text(PATH3)
+    (tmp_path / "g.td").write_text("s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n")
+    (tmp_path / "g.json").write_text(radius_sidecar())
+    if bad == "directory":
+        (tmp_path / "BAD").mkdir()
+    else:
+        (tmp_path / "BAD").write_bytes(b"p 3 2 U 1\n0 1\n1 2 \xff\xfe\n")
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if bad == "binary" and argv[0] != "gen":
+        assert "BAD is not UTF-8 text" in err
 
 
 _JSON = st.recursive(
@@ -351,8 +422,8 @@ _JSON = st.recursive(
 )
 # Sidecar-shaped documents: each field present or not, well-typed or not.
 _SIDECAR = st.fixed_dictionaries({}, optional={
-    "quantity": st.sampled_from(["radius", "eccentricities"]) | _JSON,
-    "variant": _JSON,
+    "quantity": st.sampled_from(QUANTITIES) | _JSON,
+    "variant": st.sampled_from(VARIANTS) | _JSON,
     "answer": _JSON,
     "eq_side": st.sampled_from(["yes", "no"]) | _JSON,
     "yes_value": _JSON,
@@ -366,9 +437,16 @@ _SIDECAR = st.fixed_dictionaries({}, optional={
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_JSON | _SIDECAR)
-def test_read_sidecar_returns_triple_or_usage_error(tmp_path, doc):
+def test_read_sidecar_returns_triple_or_usage_error(tmp_path, capsys, doc):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
+    (tmp_path / "g.graph").write_text(PATH3)
+    # verify on any sidecar exits 0, 1 or 2 without a traceback.
+    code, _, err = run(["verify", "--input", str(tmp_path / "g.graph"), "--sidecar", str(path)],
+                       capsys)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
     try:
         quantity, variant, promise = _read_sidecar(str(path))
     except SystemExit2:

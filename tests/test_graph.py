@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, random_digraph, reference_read_graph
+from conftest import floyd_warshall, mixed_graph, random_digraph, reference_read_graph
 from ecclab.graph import (
     INF,
     BACKWARD,
@@ -60,6 +60,20 @@ def test_shortest_paths_match_floyd_warshall(seed, n, m, w):
     for s in range(g.n):
         assert shortest_paths(g, s, FORWARD) == dist[s]
         assert shortest_paths(g, s, BACKWARD) == [dist[v][s] for v in range(g.n)]
+
+
+def test_shortest_paths_from_a_list_is_the_least_over_its_vertices():
+    # Zero-weight arcs, undirected graphs, W up to 16, repeated sources.
+    rng = random.Random(7)
+    for max_weight in (1, 2, 3, 16) * 30:
+        g = mixed_graph(rng, 12, max_weight)
+        for direction in (FORWARD, BACKWARD):
+            assert shortest_paths(g, [], direction) == [INF] * g.n
+            for k in range(1, g.n + 2):
+                sources = rng.choices(range(g.n), k=k)
+                rows = [shortest_paths(g, s, direction) for s in sources]
+                want = [min(col) for col in zip(*rows)]
+                assert shortest_paths(g, sources, direction) == want, (g.edges, sources)
 
 
 def test_truncated_shortest_paths_prefix():

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -465,7 +466,9 @@ def test_tw_scaling_tool_runs(family):
                            "--n", "200"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(rf"# Python \d+\.\d+\.\d+\S*, \d+ CPUs, family {family}", lines[0]), lines[0]
+    assert len(lines) == 5
 
 
 def variants_of(g):

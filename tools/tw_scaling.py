@@ -26,8 +26,9 @@ peak RSS is the case's own:
   the ``ecclab tw`` path without ``--td`` (the time includes both);
 - ``sweep``: ``oracle.sweep_ecc(g, "undirected", None)``.
 
-Each row gives the solve time (the graph's generation is not timed), the
-peak RSS of the whole process and a digest of the eccentricities.  The
+A header line gives the Python version and the CPU count.  Each row gives
+the solve time (the graph's generation is not timed), the peak RSS of the
+whole process and a digest of the eccentricities.  The
 script exits 1 when two cases of one n disagree, and notes a sweep that
 gave up (returned None) without counting it as a disagreement.
 """
@@ -37,6 +38,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import resource
 import subprocess
 import sys
@@ -100,6 +103,7 @@ def main(argv=None):
         print(json.dumps(run_case(args.family, args.case, args.n[0])))
         return 0
 
+    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs, family {args.family}")
     print(f"{'n':>7} {'case':<10} {'time s':>8} {'peak MB':>8}  digest")
     ok = True
     for n in args.n:
