@@ -58,6 +58,7 @@ from .treewidth import (
     generate_partial_ktree,
     min_degree_decomposition,
     read_td,
+    tw_ecc,
     tw_eccentricities,
     write_td,
 )
@@ -310,10 +311,10 @@ def _verified_value(g, quantity, variant, args):
             raise SystemExit2("--td cannot verify a median sidecar: the tw solver has no median")
         _, total = _median(g, args.cap)
         return total
-    # Without --td: the level sweep, stopped at the radius level for a radius,
-    # or the matrix path where it gives up.  No witness pair is computed.
+    # The tw solver with --td; else the level sweep, stopped at the radius level
+    # for a radius, or the matrix path where it gives up.  No witness pair.
     if args.td:
-        ecc = tw_eccentricities(g, read_td(_read_text(args.td), g.n), variant).ecc
+        ecc = tw_ecc(g, read_td(_read_text(args.td), g.n), variant)
     elif quantity == "radius":
         radius = sweep_radius(g, variant, args.cap)
         return exact_eccentricities(g, variant, cap=args.cap).radius if radius is None else radius

@@ -23,10 +23,11 @@ took a third of the time of always splitting, and an undirected 3-tree of
 sweep gives up at the upper nodes, or the memory gate skips them, and they
 split as before: at 1,600 and 3,200 vertices the time did not move.
 
-The decomposition is validated once and normalised in one pass (no tree
-edge joins nested bags).  Each side recurses on the decomposition restricted
-to its own vertices, renumbered with the side's graph by _side and
-normalised again, so a recursion node holds at most as many bags as vertices.
+The decomposition is validated once, by the bag where each vertex tops out
+on the rooted bag tree.  Only a node that splits normalises it, in one pass
+(no tree edge joins nested bags); each side then recurses on the normalised
+decomposition restricted to its own vertices and renumbered with the side's
+graph by _side, so it holds at most as many bags as its parent has vertices.
 """
 
 from __future__ import annotations
@@ -92,7 +93,11 @@ class TreeDecomposition:
         return adj
 
     def validate(self, g):
-        nb = len(self.bags)
+        """Raise the first fault: in the bag tree, a vertex outside 0..n-1 or in
+        no bag, the first edge in no bag, the first vertex topping out twice
+        (see _tops).  Two subtrees meet exactly when one holds the other's top."""
+        bags = self.bags
+        nb = len(bags)
         if nb == 0:
             raise DecompositionError("decomposition has no bags")
         if len(self.tree) != nb - 1:
@@ -102,34 +107,23 @@ class TreeDecomposition:
         for i, j in self.tree:
             if not (0 <= i < nb and 0 <= j < nb):
                 raise DecompositionError(f"bag tree edge ({i},{j}) out of range")
-        if len(_bfs_order(self.neighbors())[0]) != nb:
+        order, parent = _bfs_order(self.neighbors())
+        if len(order) != nb:
             raise DecompositionError("bag tree is not connected")
-        covered = set().union(*self.bags) if self.bags else set()
-        outside = [v for v in covered if not 0 <= v < g.n]
+        top, parts, _ = _tops(bags, order, parent)
+        outside = [v for v in top if not 0 <= v < g.n]
         if outside:
             raise DecompositionError(f"bag vertices outside 0..{g.n - 1}: {sorted(outside)[:5]}")
-        missing = set(range(g.n)) - covered
-        if missing:
+        if len(top) != g.n:
+            missing = set(range(g.n)) - top.keys()
             raise DecompositionError(f"vertices not covered by any bag: {sorted(missing)[:5]}")
-        where = [[] for _ in range(g.n)]
-        for bi, b in enumerate(self.bags):
-            for v in b:
-                where[v].append(bi)
         for u, v, _ in g.edges:
-            # Scan the bags of whichever end lies in fewer: a k-tree's first
-            # vertices lie in thousands.
-            a, b = (u, v) if len(where[u]) <= len(where[v]) else (v, u)
-            if not any(b in self.bags[bi] for bi in where[a]):
+            if u not in bags[top[v]] and v not in bags[top[u]] and not (
+                    any(v in bags[b] for b in parts.get(u, ()))
+                    or any(u in bags[b] for b in parts.get(v, ()))):
                 raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
-        # The bags containing v induce a forest of the bag tree, which is one
-        # subtree exactly when its tree edges number one less than its bags.
-        shared = [0] * g.n
-        for i, j in self.tree:
-            for v in self.bags[i] & self.bags[j]:
-                shared[v] += 1
-        for v in range(g.n):
-            if shared[v] != len(where[v]) - 1:
-                raise DecompositionError(f"bags containing vertex {v} are not connected")
+        if parts:
+            raise DecompositionError(f"bags containing vertex {min(parts)} are not connected")
 
 
 def _bfs_order(adj):
@@ -147,6 +141,21 @@ def _bfs_order(adj):
     return order, parent
 
 
+def _tops(bags, order, parent):
+    """Where vertices top out on the bag tree as _bfs_order roots it: at each
+    bag holding them whose parent does not.  top[v] is v's last such bag,
+    parts[v] all of them if more than one, count[b] how many top out at b."""
+    top, parts, count = {}, {}, [0] * len(bags)
+    for b in order:
+        vs = bags[b] - bags[parent[b]] if b else bags[b]
+        count[b] = len(vs)
+        for v in vs:
+            if v in top:
+                parts.setdefault(v, [top[v]]).append(b)
+            top[v] = b
+    return top, parts, count
+
+
 def write_td(td, n):
     """PACE-2017 style text; bag ids are 1-indexed, vertices 0-indexed."""
     lines = [f"s td {len(td.bags)} {td.width + 1} {n}"]
@@ -160,28 +169,31 @@ def write_td(td, n):
 def read_td(text, n):
     """Parse write_td's format for a graph of n vertices.  The one 's td'
     line gives the bag count N, the largest bag size and n; each bag id in
-    1..N names at most one 'b' line, and a bag id with no line is empty."""
-    bag_lines = []
-    edges = []
+    1..N names at most one 'b' line, and a bag id with no line is empty.
+    The first bad line in file order is reported before any other fault."""
+    ids, bags, edges = [], [], []
     header = None
+    comments = "#" in text
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("c "):
+        parts = (raw.split("#", 1)[0] if comments else raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "s" and (len(parts) != 5 or parts[1] != "td"):
+        head = parts[0]
+        if head == "s" and (len(parts) != 5 or parts[1] != "td"):
             raise DecompositionError(f"bad solution line: {raw!r}")
-        if parts[0] == "s" and header is not None:
+        if head == "s" and header is not None:
             raise DecompositionError(f"second 's td' line: {raw!r}")
         try:
-            if parts[0] == "s":
+            if head == "b":
+                ids.append(int(parts[1]))
+                bags.append(frozenset(map(int, parts[2:])))
+            elif head == "s":
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            elif parts[0] == "b":
-                bag_lines.append((int(parts[1]), frozenset(int(x) for x in parts[2:])))
-            elif len(parts) != 2:
-                raise DecompositionError(f"bad tree edge line: {raw!r}")
+            elif head == "c" and raw.split("#", 1)[0].strip().startswith("c "):
+                continue
             else:
-                edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+                i, j = parts  # a tree edge
+                edges.append((int(i) - 1, int(j) - 1))
         except (ValueError, IndexError) as exc:
             raise DecompositionError(f"malformed .td line: {raw!r}") from exc
     if header is None:
@@ -189,14 +201,17 @@ def read_td(text, n):
     nb, size, header_n = header
     if header_n != n:
         raise DecompositionError(f"'s td' line gives {header_n} vertices, the graph has {n}")
-    bags = {}
-    for i, bag in bag_lines:
-        if not 1 <= i <= nb:
-            raise DecompositionError(f"bag id {i} outside 1..{nb}")
-        if i in bags:
-            raise DecompositionError(f"bag id {i} listed twice")
-        bags[i] = bag
-    td = TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
+    if len(ids) != nb or ids != list(range(1, nb + 1)):
+        # Not write_td's order 1..N: place each bag by its id.
+        by_id = {}
+        for i, bag in zip(ids, bags):
+            if not 1 <= i <= nb:
+                raise DecompositionError(f"bag id {i} outside 1..{nb}")
+            if i in by_id:
+                raise DecompositionError(f"bag id {i} listed twice")
+            by_id[i] = bag
+        bags = [by_id.get(i, frozenset()) for i in range(1, nb + 1)]
+    td = TreeDecomposition(bags, edges)
     if size != td.width + 1:
         raise DecompositionError(f"'s td' line gives bag size {size}, the largest bag has {td.width + 1}")
     return td
@@ -276,13 +291,7 @@ def find_portal_split(g, td):
 
     # Root the bag tree, find each vertex's topmost bag, count per subtree.
     bfs, parent = _bfs_order(adj)
-    top = {}
-    for b in bfs:
-        for v in bags[b]:
-            top.setdefault(v, b)
-    cnt_top = [0] * len(bags)
-    for b in top.values():
-        cnt_top[b] += 1
+    top, _, cnt_top = _tops(bags, bfs, parent)
     sub_top = cnt_top[:]
     for b in reversed(bfs[1:]):
         sub_top[parent[b]] += sub_top[b]
@@ -453,8 +462,8 @@ def _side(g, td, keep, portals, fwd):
     sorted vertex list keep.  The graph is the subgraph of g induced on keep
     plus a shortcut edge p -> q of weight fwd[p][q] = d(p -> q) for every two
     portals with q reachable from p (one per pair on an undirected graph);
-    the decomposition is td restricted to keep and normalised, so it has at
-    most len(keep) bags."""
+    the decomposition is td restricted to keep, bag for bag, with td's tree:
+    _solve normalises it only if the side splits again."""
     pos = {v: i for i, v in enumerate(keep)}
     edges = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
     edges += [
@@ -463,9 +472,13 @@ def _side(g, td, keep, portals, fwd):
         for q in portals
         if (p < q if g.undirected else p != q) and fwd[p][q] != INF
     ]
-    bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
+    # Equal bags share one object: the caller holds this decomposition while
+    # the side recurses, and bags off the side restrict to few distinct sets.
+    same = {}
+    restricted = (frozenset(pos[v] for v in b if v in pos) for b in td.bags)
+    bags = [same.setdefault(b, b) for b in restricted]
     side = Graph(len(keep), edges, undirected=g.undirected)
-    return side, _normalize(TreeDecomposition(bags, td.tree))
+    return side, TreeDecomposition(bags, td.tree)
 
 
 def _cross_values(variant, avs, portals, cvs, fwd, bwd):
@@ -529,11 +542,12 @@ def _sweep_budget(g, width):
 
 
 def _solve(g, td, variant):
-    """Eccentricities of g; td is a normalised decomposition of g.
+    """Eccentricities of g; td is a valid decomposition of g.
 
     A node of at most max(width**3, 16) vertices is a base case: the level
     sweep under its default budget, else the matrix path.  A larger node
-    tries the sweep under _sweep_budget and splits when that gives up.
+    tries the sweep under _sweep_budget and splits when that gives up; only
+    then is td normalised, which keeps its largest bags and so its width.
     """
     n = g.n
     base = n <= max(td.width ** 3, 16)
@@ -544,6 +558,7 @@ def _solve(g, td, variant):
             return ecc
     if base:
         return exact_eccentricities(g, variant, cap=None).ecc
+    td = _normalize(td)
     split = find_portal_split(g, td)
     portals = sorted(split.portals)
     fwd = {p: shortest_paths(g, p, FORWARD) for p in portals}
@@ -565,13 +580,17 @@ def _solve(g, td, variant):
     return ecc
 
 
+def tw_ecc(g, td, variant):
+    """The eccentricities of tw_eccentricities alone, with no witness pair."""
+    check_variant(g, variant)
+    td.validate(g)
+    return _solve(g, td, variant)
+
+
 def tw_eccentricities(g, td, variant):
     """Exact eccentricities using the tree decomposition.
 
     Matches the brute-force oracle on every input, witness included; the
-    decomposition only affects the running time.  It is validated once, then
-    normalised.
+    decomposition only affects the running time.
     """
-    check_variant(g, variant)
-    td.validate(g)
-    return eccentricity_report(g, variant, _solve(g, _normalize(td), variant))
+    return eccentricity_report(g, variant, tw_ecc(g, td, variant))

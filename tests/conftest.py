@@ -18,6 +18,7 @@ from ecclab.reduce23 import (
     hashed_masks,
 )
 from ecclab.setsystem import OV, SetSystemInstance, solve_set_system
+from ecclab.treewidth import DecompositionError, TreeDecomposition
 
 
 def floyd_warshall(g):
@@ -120,6 +121,98 @@ def reference_read_graph(text):
     if len(edges) != m:
         raise GraphFormatError(f"header announces {m} edges, found {len(edges)}")
     return Graph(n, edges, undirected=(kind == "U"))
+
+
+def reference_read_td(text, n):
+    """The .td format parsed into a list of (bag id, bag) lines and checked
+    after the last line: the parser that ``read_td``'s streaming one must
+    agree with, result for result and message for message."""
+    bag_lines = []
+    edges = []
+    header = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line or line.startswith("c "):
+            continue
+        parts = line.split()
+        if parts[0] == "s" and (len(parts) != 5 or parts[1] != "td"):
+            raise DecompositionError(f"bad solution line: {raw!r}")
+        if parts[0] == "s" and header is not None:
+            raise DecompositionError(f"second 's td' line: {raw!r}")
+        try:
+            if parts[0] == "s":
+                header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            elif parts[0] == "b":
+                bag_lines.append((int(parts[1]), frozenset(int(x) for x in parts[2:])))
+            elif len(parts) != 2:  # reported below as a malformed line
+                raise ValueError("bad tree edge line")
+            else:
+                edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+        except (ValueError, IndexError) as exc:
+            raise DecompositionError(f"malformed .td line: {raw!r}") from exc
+    if header is None:
+        raise DecompositionError("missing 's td' line")
+    nb, size, header_n = header
+    if header_n != n:
+        raise DecompositionError(f"'s td' line gives {header_n} vertices, the graph has {n}")
+    bags = {}
+    for i, bag in bag_lines:
+        if not 1 <= i <= nb:
+            raise DecompositionError(f"bag id {i} outside 1..{nb}")
+        if i in bags:
+            raise DecompositionError(f"bag id {i} listed twice")
+        bags[i] = bag
+    td = TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
+    if size != td.width + 1:
+        raise DecompositionError(f"'s td' line gives bag size {size}, the largest bag has {td.width + 1}")
+    return td
+
+
+def reference_validate(td, g):
+    """Every check of a tree decomposition by plain scans, raising the first
+    fault in this order: bag tree, vertex range, a vertex in no bag, the
+    first edge of g.edges in no bag, then the first vertex whose bags are
+    not connected.  ``TreeDecomposition.validate`` must raise the same."""
+    nb = len(td.bags)
+    if nb == 0:
+        raise DecompositionError("decomposition has no bags")
+    if len(td.tree) != nb - 1:
+        raise DecompositionError(f"bag tree must have {nb - 1} edges, found {len(td.tree)}")
+    for i, j in td.tree:
+        if not (0 <= i < nb and 0 <= j < nb):
+            raise DecompositionError(f"bag tree edge ({i},{j}) out of range")
+    adj = td.neighbors()
+    seen, stack = {0}, [0]
+    while stack:
+        for j in adj[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    if len(seen) != nb:
+        raise DecompositionError("bag tree is not connected")
+    covered = set().union(*td.bags)
+    outside = [v for v in covered if not 0 <= v < g.n]
+    if outside:
+        raise DecompositionError(f"bag vertices outside 0..{g.n - 1}: {sorted(outside)[:5]}")
+    missing = set(range(g.n)) - covered
+    if missing:
+        raise DecompositionError(f"vertices not covered by any bag: {sorted(missing)[:5]}")
+    where = [[] for _ in range(g.n)]
+    for bi, b in enumerate(td.bags):
+        for v in b:
+            where[v].append(bi)
+    for u, v, _ in g.edges:
+        if not any(v in td.bags[bi] for bi in where[u]):
+            raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
+    # The bags containing v induce a forest of the bag tree, which is one
+    # subtree exactly when its tree edges number one less than its bags.
+    shared = [0] * g.n
+    for i, j in td.tree:
+        for v in td.bags[i] & td.bags[j]:
+            shared[v] += 1
+    for v in range(g.n):
+        if shared[v] != len(where[v]) - 1:
+            raise DecompositionError(f"bags containing vertex {v} are not connected")
 
 
 def random_digraph(rng, n, m, max_weight=1):

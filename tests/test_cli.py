@@ -6,14 +6,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_flags, floyd_warshall, reference_report
-from ecclab import oracle
+from ecclab import oracle, treewidth
 from ecclab.cli import GADGET_KINDS, QUANTITIES, SHARED_FLAGS, SystemExit2, _read_sidecar, main
 from ecclab.gadgets import GadgetError
 from ecclab.graph import Graph, write_graph
 from ecclab.oracle import VARIANTS, sweep_ecc
 from ecclab.seeds import substream
 from ecclab.setsystem import random_instance, solve_set_system
-from ecclab.treewidth import generate_partial_ktree
+from ecclab.treewidth import generate_partial_ktree, min_degree_decomposition, write_td
 
 
 def run(args, capsys):
@@ -531,3 +531,26 @@ def test_radius_verify_stops_the_sweep_at_the_radius(tmp_path, monkeypatch, caps
                             "--sidecar", str(tmp_path / "g.json")], capsys)
     assert (code, printed) == (0, "PASS radius eq 20, computed 20\n")
     assert len(levels) <= 21
+
+
+@pytest.mark.parametrize("quantity", ["radius", "diameter"])
+def test_verify_with_td_computes_no_witness(tmp_path, monkeypatch, capsys, quantity):
+    # verify --td needs the eccentricities alone, so it never builds the tw
+    # solver's report, whose witness costs one or two more searches.
+    g = spider(4, 30)
+    value = 30 if quantity == "radius" else 60
+    (tmp_path / "g.graph").write_text(write_graph(g))
+    (tmp_path / "g.td").write_text(write_td(min_degree_decomposition(g), g.n))
+    (tmp_path / "g.json").write_text(json.dumps(
+        {"quantity": quantity, "variant": "undirected", "answer": True, "eq_side": "yes",
+         "yes_value": value, "no_bound": value + 1}))
+
+    def no_report(*args):
+        raise AssertionError("eccentricity_report called")
+
+    monkeypatch.setattr(treewidth, "eccentricity_report", no_report)
+    monkeypatch.setattr(oracle, "eccentricity_report", no_report)
+    code, printed, _ = run(["verify", "--input", str(tmp_path / "g.graph"),
+                            "--sidecar", str(tmp_path / "g.json"), "--td", str(tmp_path / "g.td")],
+                           capsys)
+    assert (code, printed) == (0, f"PASS {quantity} eq {value}, computed {value}\n")

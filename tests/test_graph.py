@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import floyd_warshall, mixed_graph, random_digraph, reference_read_graph
+from conftest import (
+    floyd_warshall,
+    mixed_graph,
+    random_digraph,
+    reference_read_graph,
+    reference_read_td,
+)
 from ecclab.graph import (
     INF,
     BACKWARD,
@@ -257,3 +263,101 @@ def _parsed(parse, text):
 @given(_GRAPH_TEXT)
 def test_read_graph_matches_the_line_by_line_parser(text):
     assert _parsed(read_graph, text) == _parsed(reference_read_graph, text)
+
+
+# A path of three vertices: bags {0, 1} and {1, 2} joined by one tree edge.
+_TD = "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_TD + "x\n", "malformed .td line: 'x'"),
+    ("s td 2 2\nb 1 0 1\n", "bad solution line: 's td 2 2'"),
+    ("s tw 2 2 3\n", "bad solution line: 's tw 2 2 3'"),
+    (_TD + "s td 2 2 3\n", "second 's td' line: 's td 2 2 3'"),
+    ("s td 2 x 3\n", "malformed .td line: 's td 2 x 3'"),
+    ("s td 2 2 3\nb 1 0 y\n", "malformed .td line: 'b 1 0 y'"),
+    ("s td 2 2 3\nb\n", "malformed .td line: 'b'"),
+    # A tree-edge line of the wrong arity, or not of integers, is malformed.
+    (_TD + "1 2 7 x\n", "malformed .td line: '1 2 7 x'"),
+    (_TD + "1\n", "malformed .td line: '1'"),
+    (_TD + "1 z\n", "malformed .td line: '1 z'"),
+    # "c" opens a comment only when a space follows it.
+    (_TD + "c\n", "malformed .td line: 'c'"),
+    (_TD + "c\tx\n", "malformed .td line: 'c\\tx'"),
+    ("b 1 0 1\nb 2 1 2\n1 2\n", "missing 's td' line"),
+    ("", "missing 's td' line"),
+    ("s td 2 2 4\nb 1 0 1\nb 2 1 2\n1 2\n", "'s td' line gives 4 vertices, the graph has 3"),
+    ("s td 2 2 3\nb 3 0 1\nb 2 1 2\n1 2\n", "bag id 3 outside 1..2"),
+    ("s td 2 2 3\nb 0 0 1\nb 2 1 2\n1 2\n", "bag id 0 outside 1..2"),
+    ("s td 2 2 3\nb 1 0 1\nb 1 1 2\n1 2\n", "bag id 1 listed twice"),
+    ("s td 2 3 3\nb 1 0 1\nb 2 1 2\n1 2\n",
+     "'s td' line gives bag size 3, the largest bag has 2"),
+    # The first bad line in file order decides, whichever its fault, and
+    # every bad line comes before the header, bag id and bag size checks.
+    ("s td 2 2 3\nb 1 0 1\n1 2 3\nb 2 1 x\n", "malformed .td line: '1 2 3'"),
+    ("s td 2 2 3\nb 1 0 x\n1 2 3\n", "malformed .td line: 'b 1 0 x'"),
+    ("s td 2 2 3\n1 2 3\ns td 2 2 3\n", "malformed .td line: '1 2 3'"),
+    ("s td 2 2 3\ns td 2 2\n", "bad solution line: 's td 2 2'"),
+    ("b 9 0 1\n1 x\n", "malformed .td line: '1 x'"),
+    ("s td 2 2 4\nb 3 0 1\nb 3 0 1\n", "'s td' line gives 4 vertices, the graph has 3"),
+    ("s td 2 2 3\nb 3 0 1\nb 3 0 1\n", "bag id 3 outside 1..2"),
+    ("s td 3 2 3\nb 3 0 1\nb 3 0 1\n", "bag id 3 listed twice"),
+    ("s td 3 9 3\nb 1 0 1\nb 1 0 1\n", "bag id 1 listed twice"),
+], ids=["malformed", "solution-arity", "solution-tag", "second-header", "header-counts",
+        "bag-vertex", "bag-id-missing", "edge-arity-long", "edge-arity-short", "edge-integer",
+        "bare-c", "c-tab", "missing-header", "empty", "header-n", "bag-id-high", "bag-id-zero",
+        "bag-id-twice", "bag-size", "first-bad-line-edge", "first-bad-line-bag",
+        "malformed-beats-second-header", "first-bad-line-solution", "malformed-beats-missing",
+        "header-n-beats-bag-id", "bag-id-range-first", "bag-id-twice-beats-size",
+        "bag-id-beats-size"])
+def test_read_td_messages(text, message):
+    with pytest.raises(DecompositionError) as err:
+        read_td(text, 3)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, bags, tree", [
+    ("c s td\ns td 2 2 3 # header\n\n  \nb 1 0 1   # first\nc another\nb 2 1 2\n# only\n1 2\n",
+     [{0, 1}, {1, 2}], [(0, 1)]),
+    # Bag ids in any order; an id with no 'b' line is an empty bag.
+    ("s td 3 2 3\nb 3 1 2\nb 1 0 1\n1 3\n3 2\n", [{0, 1}, set(), {1, 2}], [(0, 2), (2, 1)]),
+    ("s td 3 2 3\nb 2 1 2\nb 1 0 1\n2 1\n3 1\n", [{0, 1}, {1, 2}, set()], [(1, 0), (2, 0)]),
+    ("\r\n s td 1 1 3\t\r\nb 1 2 # x\n", [{2}], []),
+], ids=["comments-and-blank-lines", "bag-ids-out-of-order", "bag-id-missing-last", "crlf"])
+def test_read_td_accepts(text, bags, tree):
+    td = read_td(text, 3)
+    assert td.bags == [frozenset(b) for b in bags] and td.tree == tree
+
+
+# .td texts near the format: an 's td' line (now and then a wrong tag, arity
+# or count), bag lines and tree-edge lines of small integers, stray tokens,
+# 'c' lines, comments and blank lines, bag ids in any order.
+_TD_INT = st.integers(-1, 4).map(str)
+_TD_TEXT = st.builds(
+    lambda lines, end: "\n".join(lines) + end,
+    st.lists(st.one_of(
+        st.builds("s td {} {} {}".format, st.integers(0, 4), st.integers(0, 4), st.integers(2, 4)),
+        st.lists(st.one_of(_TD_INT, st.sampled_from(["s", "td", "tw"])), max_size=6)
+        .map(lambda t: " ".join(["s", *t])),
+        st.lists(_TD_INT, min_size=1, max_size=5).map(lambda t: " ".join(["b", *t])),
+        st.lists(st.integers(1, 4).map(str), min_size=2, max_size=2).map(" ".join),
+        st.lists(st.one_of(_TD_INT, st.sampled_from(["x", "+2", "#", "c", "b"])), max_size=4)
+        .map(" ".join),
+        st.sampled_from(["", "  ", "# note", "c note", "c", "c\tnote", " c x # y", "b 1 0 # 2"]),
+    ), max_size=8),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+
+
+def _parsed_td(parse, text):
+    try:
+        td = parse(text, 3)
+    except DecompositionError as exc:
+        return str(exc)
+    return td.bags, td.tree
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TD_TEXT)
+def test_read_td_matches_the_reference_parser(text):
+    assert _parsed_td(read_td, text) == _parsed_td(reference_read_td, text)

@@ -8,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mixed_graph, random_digraph, random_undirected, reference_eccentricities
+from conftest import (
+    mixed_graph,
+    random_digraph,
+    random_undirected,
+    reference_eccentricities,
+    reference_validate,
+)
 from ecclab import treewidth
 from ecclab.approx import approx_source_radius
 from ecclab.graph import BACKWARD, FORWARD, INF, Graph, truncated_shortest_paths
@@ -98,6 +104,79 @@ def test_validate_messages_on_mutated_decompositions():
     assert faults == {"vertices", "edge", "bags"}
 
 
+def _outcome(check, td, g):
+    try:
+        check(td, g)
+    except DecompositionError as err:
+        return str(err)
+    return None
+
+
+def mutated(td, n, rng):
+    """td with one to three random faults: a vertex dropped from a bag, a
+    vertex (possibly outside 0..n-1) added to a bag, a tree edge rewired to
+    a random bag, or a bag emptied."""
+    bags, tree = list(td.bags), list(td.tree)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        i = rng.randrange(len(bags))
+        if kind == 0 and bags[i]:
+            bags[i] = bags[i] - {rng.choice(sorted(bags[i]))}
+        elif kind == 1:
+            bags[i] = bags[i] | {rng.randrange(n + 1)}
+        elif kind == 2 and tree:
+            j = rng.randrange(len(tree))
+            tree[j] = (tree[j][0], rng.randrange(len(bags)))
+        elif kind == 3:
+            bags[i] = frozenset()
+    return TreeDecomposition(bags, tree)
+
+
+def test_validate_matches_the_reference_on_mutated_decompositions():
+    # The generator's and the min-degree decompositions of seeded partial
+    # k-trees, each with random faults: validate raises the reference's
+    # message, or neither raises.
+    rng = substream(21, "validate-mutate")
+    seen = {}
+    for trial in range(150):
+        k = rng.randint(1, 3)
+        g, gen_td = generate_partial_ktree(rng.randint(k + 1, 40), k, rng.uniform(0.3, 1.0), rng,
+                                           directed=trial % 2 == 1)
+        for td in (gen_td, min_degree_decomposition(g)):
+            for _ in range(4):
+                bad = mutated(td, g.n, rng)
+                want = _outcome(reference_validate, bad, g)
+                assert _outcome(TreeDecomposition.validate, bad, g) == want, (trial, bad)
+                kind = want and want.split()[0]
+                seen[kind] = seen.get(kind, 0) + 1
+    assert set(seen) == {None, "vertices", "edge", "bags", "bag"}, seen
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (0, 2), (1, 2), (2, 3)], "bags containing vertex 0 are not connected"),
+    ([(2, 3), (2, 0), (1, 0)], "bags containing vertex 0 are not connected"),
+    # An edge in no bag is reported before the disconnected bags.
+    ([(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)], "edge (0,3) not covered by any bag"),
+    ([(3, 0), (0, 2)], "edge (3,0) not covered by any bag"),
+])
+def test_validate_checks_every_part_of_a_split_vertex(edges, message):
+    # Bags {1, 2} - {0, 1} and {1, 2} - {2, 3} - {0, 2}: vertex 0 lies in two
+    # parts of the bag tree, and tops out once in each.  Edge (0, 1) meets
+    # only in the part of {0, 1}, edge (0, 2) only in the part of {0, 2}, and
+    # neither end's other top bag holds the other end.  So whichever top bag
+    # of vertex 0 a check keeps, one of them is covered only by a bag outside
+    # it.  Renumbering the bags moves the root and the order of the parts.
+    g = Graph(4, edges, undirected=True)
+    bags = [{1, 2}, {0, 1}, {2, 3}, {0, 2}]
+    tree = [(0, 1), (0, 2), (2, 3)]
+    for perm in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+        at = {old: new for new, old in enumerate(perm)}
+        td = TreeDecomposition([bags[old] for old in perm], [(at[i], at[j]) for i, j in tree])
+        assert _outcome(reference_validate, td, g) == message
+        assert _outcome(TreeDecomposition.validate, td, g) == message
+
+
 def test_partial_ktree_decomposition_valid():
     for seed in range(10):
         rng = substream(seed, "kt")
@@ -168,6 +247,9 @@ def _check_normalized(td, nd):
 
 
 def test_normalize_and_restrict_leave_no_nested_edge():
+    # _side gives td restricted to the side bag for bag, with td's tree and
+    # nothing normalised; _normalize of that leaves no nested tree edge and
+    # at most as many bags as the side has vertices.
     rng = substream(3, "normalize")
     for _ in range(40):
         k = rng.randint(1, 4)
@@ -179,10 +261,15 @@ def test_normalize_and_restrict_leave_no_nested_edge():
             side = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             pos = {v: i for i, v in enumerate(side)}
             sub_g, sub = _side(g, nd, side, [], {})
-            _check_normalized(TreeDecomposition([set(range(len(side)))], []), sub)
-            assert len(sub.bags) <= len(side)
+            assert sub.bags == [frozenset(pos[v] for v in b if v in pos) for b in nd.bags]
+            assert sub.tree == nd.tree
             assert sub_g.edges == [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
             sub.validate(sub_g)
+            normal = _normalize(sub)
+            _check_normalized(TreeDecomposition([set(range(len(side)))], []), normal)
+            assert len(normal.bags) <= len(side)
+            assert normal.width == sub.width
+            normal.validate(sub_g)
 
 
 @pytest.fixture
@@ -227,6 +314,46 @@ def test_every_side_decomposition_covers_its_shortcuts(monkeypatch, always_split
             for variant in variants_of(g):
                 assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
     assert len(sides) >= 1000 and sum(sides) >= 300
+
+
+def test_only_splitting_nodes_normalise(monkeypatch, always_split):
+    # find_portal_split always receives a normalised decomposition, and
+    # _normalize runs once per split and nowhere else.
+    splits, normalised = [], []
+    split, normalize = treewidth.find_portal_split, treewidth._normalize
+
+    def checked_split(g, td):
+        _check_normalized(td, td)
+        assert any(td is nd for nd in normalised)
+        splits.append(g)
+        return split(g, td)
+
+    def counted_normalize(td):
+        normalised.append(normalize(td))
+        return normalised[-1]
+
+    monkeypatch.setattr(treewidth, "find_portal_split", checked_split)
+    monkeypatch.setattr(treewidth, "_normalize", counted_normalize)
+    for variant in ("undirected", "min"):
+        g, td = connected_ktree(0, variant)
+        for td in (td, min_degree_decomposition(g)):
+            splits.clear()
+            normalised.clear()
+            assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+            assert len(splits) >= 2 and len(normalised) == len(splits)
+
+
+def test_sweep_answered_node_never_normalises(monkeypatch):
+    # The sweep answers a k-tree's top node, so its decomposition is
+    # validated and never normalised.
+    def no_normalize(td):
+        raise AssertionError("_normalize called")
+
+    monkeypatch.setattr(treewidth, "_normalize", no_normalize)
+    for variant in ("undirected", "source"):
+        g, td = connected_ktree(1, variant, n=300)
+        for td in (td, min_degree_decomposition(g)):
+            assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
 
 
 def test_portal_split_separates():
@@ -468,7 +595,10 @@ def test_tw_scaling_tool_runs(family):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert re.fullmatch(rf"# Python \d+\.\d+\.\d+\S*, \d+ CPUs, family {family}", lines[0]), lines[0]
-    assert len(lines) == 5
+    assert len(lines) == 6
+    # The td row times reading and validating the decomposition; it has no
+    # eccentricities to digest.
+    assert re.fullmatch(r"\s+200 td\s+\d+\.\d\d\s+\d+\.\d  -", lines[2]), lines[2]
 
 
 def variants_of(g):

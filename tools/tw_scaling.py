@@ -18,9 +18,13 @@ For each n the input is one undirected graph of the family:
   bags {0, L, i, i+1, L+i, L+i+1}; its diameter is about L / 2 + 1, so the
   solver splits there too, on up to six portals.
 
-Three cases run on it, each in its own subprocess so that the process's
+Four cases run on it, each in its own subprocess so that the process's
 peak RSS is the case's own:
 
+- ``td``: ``read_td(text, n).validate(g)`` on the family's decomposition,
+  ``text`` its ``write_td`` (written before the clock starts): what ``ecclab
+  tw --td`` pays to read and check it.  It computes no eccentricities, so
+  its digest is ``-`` and it is outside the agreement check;
 - ``tw-td``: ``tw_eccentricities`` with the family's decomposition;
 - ``tw-mindeg``: ``min_degree_decomposition`` then ``tw_eccentricities``,
   the ``ecclab tw`` path without ``--td`` (the time includes both);
@@ -48,7 +52,7 @@ from pathlib import Path
 from random import Random
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CASES = ("tw-td", "tw-mindeg", "sweep")
+CASES = ("td", "tw-td", "tw-mindeg", "sweep")
 FAMILIES = ("ktree", "cycle", "cylinder")
 
 
@@ -74,18 +78,22 @@ def run_case(family, case, n):
     """Time one case on the family's n-vertex graph; return its row as a dict."""
     sys.path.insert(0, str(SRC))
     from ecclab.oracle import sweep_ecc
-    from ecclab.treewidth import min_degree_decomposition, tw_eccentricities
+    from ecclab.treewidth import min_degree_decomposition, read_td, tw_eccentricities, write_td
 
     g, td = build(family, n)
+    text = write_td(td, n) if case == "td" else None
     start = time.perf_counter()
-    if case == "tw-td":
+    if case == "td":
+        read_td(text, n).validate(g)
+        ecc = "-"
+    elif case == "tw-td":
         ecc = tw_eccentricities(g, td, "undirected").ecc
     elif case == "tw-mindeg":
         ecc = tw_eccentricities(g, min_degree_decomposition(g), "undirected").ecc
     else:
         ecc = sweep_ecc(g, "undirected", None)
     seconds = time.perf_counter() - start
-    digest = None if ecc is None else hashlib.sha256(json.dumps(ecc).encode()).hexdigest()[:12]
+    digest = ecc if ecc in (None, "-") else hashlib.sha256(json.dumps(ecc).encode()).hexdigest()[:12]
     # ru_maxrss is in KiB on Linux.
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {"case": case, "n": n, "s": seconds, "peak_rss_mb": peak_mb, "digest": digest}
@@ -116,7 +124,7 @@ def main(argv=None):
             digest = row["digest"] or "gave up"
             print(f"{n:>7} {case:<10} {row['s']:>8.2f} {row['peak_rss_mb']:>8.1f}  {digest}",
                   flush=True)
-            if row["digest"] is not None:
+            if row["digest"] not in (None, "-"):
                 digests.add(row["digest"])
         if len(digests) > 1:
             print(f"error: the cases disagree at n={n}", file=sys.stderr)
