@@ -23,11 +23,10 @@ took a third of the time of always splitting, and an undirected 3-tree of
 sweep gives up at the upper nodes, or the memory gate skips them, and they
 split as before: at 1,600 and 3,200 vertices the time did not move.
 
-The decomposition is validated once, by the bag where each vertex tops out
-on the rooted bag tree.  Only a node that splits normalises it, in one pass
-(no tree edge joins nested bags); each side then recurses on the normalised
-decomposition restricted to its own vertices and renumbered with the side's
-graph by _side, so it holds at most as many bags as its parent has vertices.
+The decomposition is validated once, by where each vertex tops out on the
+bag tree, and normalised (no tree edge joins nested bags) only if the top
+node splits.  Each side recurses on it restricted to its own vertices,
+renumbered and normalised by _side, so it has at most one bag per vertex.
 """
 
 from __future__ import annotations
@@ -96,8 +95,7 @@ class TreeDecomposition:
         """Raise the first fault: in the bag tree, a vertex outside 0..n-1 or in
         no bag, the first edge in no bag, the first vertex topping out twice
         (see _tops).  Two subtrees meet exactly when one holds the other's top."""
-        bags = self.bags
-        nb = len(bags)
+        nb = len(self.bags)
         if nb == 0:
             raise DecompositionError("decomposition has no bags")
         if len(self.tree) != nb - 1:
@@ -110,7 +108,7 @@ class TreeDecomposition:
         order, parent = _bfs_order(self.neighbors())
         if len(order) != nb:
             raise DecompositionError("bag tree is not connected")
-        top, parts, _ = _tops(bags, order, parent)
+        top, parts, _ = _tops(self.bags, order, parent)
         outside = [v for v in top if not 0 <= v < g.n]
         if outside:
             raise DecompositionError(f"bag vertices outside 0..{g.n - 1}: {sorted(outside)[:5]}")
@@ -118,9 +116,9 @@ class TreeDecomposition:
             missing = set(range(g.n)) - top.keys()
             raise DecompositionError(f"vertices not covered by any bag: {sorted(missing)[:5]}")
         for u, v, _ in g.edges:
-            if u not in bags[top[v]] and v not in bags[top[u]] and not (
-                    any(v in bags[b] for b in parts.get(u, ()))
-                    or any(u in bags[b] for b in parts.get(v, ()))):
+            if u not in self.bags[top[v]] and v not in self.bags[top[u]] and not (
+                    any(v in self.bags[b] for b in parts.get(u, ()))
+                    or any(u in self.bags[b] for b in parts.get(v, ()))):
                 raise DecompositionError(f"edge ({u},{v}) not covered by any bag")
         if parts:
             raise DecompositionError(f"bags containing vertex {min(parts)} are not connected")
@@ -170,8 +168,9 @@ def read_td(text, n):
     """Parse write_td's format for a graph of n vertices.  The one 's td'
     line gives the bag count N, the largest bag size and n; each bag id in
     1..N names at most one 'b' line, and a bag id with no line is empty.
-    The first bad line in file order is reported before any other fault."""
-    ids, bags, edges = [], [], []
+    The first bad line in file order is reported before any other fault, and
+    an N above the tree-edge lines plus one before any bag is built."""
+    bag_lines, edges = [], []
     header = None
     comments = "#" in text
     for raw in text.splitlines():
@@ -185,8 +184,7 @@ def read_td(text, n):
             raise DecompositionError(f"second 's td' line: {raw!r}")
         try:
             if head == "b":
-                ids.append(int(parts[1]))
-                bags.append(frozenset(map(int, parts[2:])))
+                bag_lines.append((int(parts[1]), frozenset(map(int, parts[2:]))))
             elif head == "s":
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif head == "c" and raw.split("#", 1)[0].strip().startswith("c "):
@@ -201,17 +199,16 @@ def read_td(text, n):
     nb, size, header_n = header
     if header_n != n:
         raise DecompositionError(f"'s td' line gives {header_n} vertices, the graph has {n}")
-    if len(ids) != nb or ids != list(range(1, nb + 1)):
-        # Not write_td's order 1..N: place each bag by its id.
-        by_id = {}
-        for i, bag in zip(ids, bags):
-            if not 1 <= i <= nb:
-                raise DecompositionError(f"bag id {i} outside 1..{nb}")
-            if i in by_id:
-                raise DecompositionError(f"bag id {i} listed twice")
-            by_id[i] = bag
-        bags = [by_id.get(i, frozenset()) for i in range(1, nb + 1)]
-    td = TreeDecomposition(bags, edges)
+    bags = {}
+    for i, bag in bag_lines:
+        if not 1 <= i <= nb:
+            raise DecompositionError(f"bag id {i} outside 1..{nb}")
+        if i in bags:
+            raise DecompositionError(f"bag id {i} listed twice")
+        bags[i] = bag
+    if nb > len(edges) + 1:
+        raise DecompositionError(f"bag tree must have {nb - 1} edges, found {len(edges)}")
+    td = TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
     if size != td.width + 1:
         raise DecompositionError(f"'s td' line gives bag size {size}, the largest bag has {td.width + 1}")
     return td
@@ -249,6 +246,8 @@ def _normalize(td):
             root[j] = i
         else:
             kept.append((i, j))
+    if len(kept) == len(td.tree):
+        return td  # nothing nested: td is normalised already
     order = [i for i in range(len(bags)) if root[i] == i]
     remap = {old: new for new, old in enumerate(order)}
     return TreeDecomposition(
@@ -462,8 +461,8 @@ def _side(g, td, keep, portals, fwd):
     sorted vertex list keep.  The graph is the subgraph of g induced on keep
     plus a shortcut edge p -> q of weight fwd[p][q] = d(p -> q) for every two
     portals with q reachable from p (one per pair on an undirected graph);
-    the decomposition is td restricted to keep, bag for bag, with td's tree:
-    _solve normalises it only if the side splits again."""
+    the decomposition is td restricted to keep and normalised, so it has at
+    most len(keep) bags."""
     pos = {v: i for i, v in enumerate(keep)}
     edges = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
     edges += [
@@ -472,13 +471,9 @@ def _side(g, td, keep, portals, fwd):
         for q in portals
         if (p < q if g.undirected else p != q) and fwd[p][q] != INF
     ]
-    # Equal bags share one object: the caller holds this decomposition while
-    # the side recurses, and bags off the side restrict to few distinct sets.
-    same = {}
-    restricted = (frozenset(pos[v] for v in b if v in pos) for b in td.bags)
-    bags = [same.setdefault(b, b) for b in restricted]
+    bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
     side = Graph(len(keep), edges, undirected=g.undirected)
-    return side, TreeDecomposition(bags, td.tree)
+    return side, _normalize(TreeDecomposition(bags, td.tree))
 
 
 def _cross_values(variant, avs, portals, cvs, fwd, bwd):
@@ -547,7 +542,7 @@ def _solve(g, td, variant):
     A node of at most max(width**3, 16) vertices is a base case: the level
     sweep under its default budget, else the matrix path.  A larger node
     tries the sweep under _sweep_budget and splits when that gives up; only
-    then is td normalised, which keeps its largest bags and so its width.
+    then is td normalised (a side's already is), which keeps its width.
     """
     n = g.n
     base = n <= max(td.width ** 3, 16)

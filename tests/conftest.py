@@ -162,6 +162,11 @@ def reference_read_td(text, n):
         if i in bags:
             raise DecompositionError(f"bag id {i} listed twice")
         bags[i] = bag
+    # A bag count the tree-edge lines cannot connect is refused before the
+    # empty bags are built: validate's message, without the header's N alone
+    # deciding an allocation.
+    if nb > len(edges) + 1:
+        raise DecompositionError(f"bag tree must have {nb - 1} edges, found {len(edges)}")
     td = TreeDecomposition([bags.get(i, frozenset()) for i in range(1, nb + 1)], edges)
     if size != td.width + 1:
         raise DecompositionError(f"'s td' line gives bag size {size}, the largest bag has {td.width + 1}")

@@ -303,13 +303,17 @@ _TD = "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n"
     ("s td 2 2 3\nb 3 0 1\nb 3 0 1\n", "bag id 3 outside 1..2"),
     ("s td 3 2 3\nb 3 0 1\nb 3 0 1\n", "bag id 3 listed twice"),
     ("s td 3 9 3\nb 1 0 1\nb 1 0 1\n", "bag id 1 listed twice"),
+    # More bags than the tree-edge lines can join is refused before any bag
+    # is built, after the bag ids and before the bag size.
+    ("s td 100000 1 3\n", "bag tree must have 99999 edges, found 0"),
+    ("s td 3 9 3\nb 1 0 1\n1 2\n", "bag tree must have 2 edges, found 1"),
 ], ids=["malformed", "solution-arity", "solution-tag", "second-header", "header-counts",
         "bag-vertex", "bag-id-missing", "edge-arity-long", "edge-arity-short", "edge-integer",
         "bare-c", "c-tab", "missing-header", "empty", "header-n", "bag-id-high", "bag-id-zero",
         "bag-id-twice", "bag-size", "first-bad-line-edge", "first-bad-line-bag",
         "malformed-beats-second-header", "first-bad-line-solution", "malformed-beats-missing",
         "header-n-beats-bag-id", "bag-id-range-first", "bag-id-twice-beats-size",
-        "bag-id-beats-size"])
+        "bag-id-beats-size", "bag-count-above-edges", "bag-count-beats-size"])
 def test_read_td_messages(text, message):
     with pytest.raises(DecompositionError) as err:
         read_td(text, 3)
