@@ -55,6 +55,11 @@ class GadgetOutput:
     pathwidth_witness: "TreeDecomposition | None" = None
     extras: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # A degenerate instance can leave one vertex (or none); pad to two.
+        if self.graph.n < 2:
+            self.graph = Graph(2, [])
+
     def expected(self):
         """(relation, value) the oracle quantity must satisfy."""
         side = "yes" if self.answer else "no"
@@ -248,8 +253,6 @@ def gadget_source_radius(inst, t):
     b = GraphBuilder(undirected=False)
     _, _, _, _, _, x = _source_like_nodes(b, work, t, masks_a)
     g = b.build()
-    if g.n < 2:
-        g = Graph(2, [])
     return GadgetOutput(
         graph=g,
         variant=SOURCE,
@@ -306,8 +309,6 @@ def gadget_max_radius(inst, t):
         for v in u_ids + b_ids + tails + heads:
             b.edge(v, x)
         g = b.build()
-        if g.n < 2:
-            g = Graph(2, [])
         witness, extras = {"x": x}, {"t": t}
     return GadgetOutput(
         graph=g,
@@ -399,8 +400,6 @@ def gadget_roundtrip_radius(inst):
         _members(b, bb_ids, work.list_b, ucs, into=True)
         _members(b, bb_ids, work.list_b, uds)
     g = b.build()
-    if g.n < 2:
-        g = Graph(2, [])
     # Pathwidth witness: the full core (all u and chain nodes of both copies)
     # sits in every bag; each a or b vertex occupies one bag of its own.
     pw = _spine_witness(core, spine) if g.n > 2 or core else None

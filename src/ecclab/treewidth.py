@@ -82,7 +82,8 @@ class TreeDecomposition:
 
     @cached_property
     def width(self):
-        return max((len(b) for b in self.bags), default=1) - 1
+        # No bags: width -1, so an empty decomposition's bag size reads 0.
+        return max((len(b) for b in self.bags), default=0) - 1
 
     def neighbors(self):
         adj = [[] for _ in self.bags]

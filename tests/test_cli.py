@@ -554,3 +554,11 @@ def test_verify_with_td_computes_no_witness(tmp_path, monkeypatch, capsys, quant
                             "--sidecar", str(tmp_path / "g.json"), "--td", str(tmp_path / "g.td")],
                            capsys)
     assert (code, printed) == (0, f"PASS {quantity} eq {value}, computed {value}\n")
+
+
+def test_tw_refuses_a_decomposition_with_no_bags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.graph").write_text(PATH3)
+    (tmp_path / "g.td").write_text("s td 0 0 3\n")
+    code, _, err = run(["tw", "--input", "g.graph", "--td", "g.td"], capsys)
+    assert (code, err) == (2, "error: decomposition has no bags\n")

@@ -25,7 +25,7 @@ from ecclab.graph import (
     truncated_shortest_paths,
     write_graph,
 )
-from ecclab.treewidth import DecompositionError, read_td
+from ecclab.treewidth import DecompositionError, TreeDecomposition, read_td, write_td
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -307,17 +307,27 @@ _TD = "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n"
     # is built, after the bag ids and before the bag size.
     ("s td 100000 1 3\n", "bag tree must have 99999 edges, found 0"),
     ("s td 3 9 3\nb 1 0 1\n1 2\n", "bag tree must have 2 edges, found 1"),
+    # No bags: the largest bag has size 0 ("s td 0 0 3" is read, and
+    # validate refuses it).
+    ("s td 0 1 3\n", "'s td' line gives bag size 1, the largest bag has 0"),
 ], ids=["malformed", "solution-arity", "solution-tag", "second-header", "header-counts",
         "bag-vertex", "bag-id-missing", "edge-arity-long", "edge-arity-short", "edge-integer",
         "bare-c", "c-tab", "missing-header", "empty", "header-n", "bag-id-high", "bag-id-zero",
         "bag-id-twice", "bag-size", "first-bad-line-edge", "first-bad-line-bag",
         "malformed-beats-second-header", "first-bad-line-solution", "malformed-beats-missing",
         "header-n-beats-bag-id", "bag-id-range-first", "bag-id-twice-beats-size",
-        "bag-id-beats-size", "bag-count-above-edges", "bag-count-beats-size"])
+        "bag-id-beats-size", "bag-count-above-edges", "bag-count-beats-size", "no-bags-size"])
 def test_read_td_messages(text, message):
     with pytest.raises(DecompositionError) as err:
         read_td(text, 3)
     assert str(err.value) == message
+
+
+def test_empty_decomposition_is_written_read_and_refused():
+    text = write_td(TreeDecomposition([], []), 3)
+    assert text == "s td 0 0 3\n"
+    with pytest.raises(DecompositionError, match="^decomposition has no bags$"):
+        read_td(text, 3).validate(Graph(3, []))
 
 
 @pytest.mark.parametrize("text, bags, tree", [
@@ -327,7 +337,9 @@ def test_read_td_messages(text, message):
     ("s td 3 2 3\nb 3 1 2\nb 1 0 1\n1 3\n3 2\n", [{0, 1}, set(), {1, 2}], [(0, 2), (2, 1)]),
     ("s td 3 2 3\nb 2 1 2\nb 1 0 1\n2 1\n3 1\n", [{0, 1}, {1, 2}, set()], [(1, 0), (2, 0)]),
     ("\r\n s td 1 1 3\t\r\nb 1 2 # x\n", [{2}], []),
-], ids=["comments-and-blank-lines", "bag-ids-out-of-order", "bag-id-missing-last", "crlf"])
+    ("s td 0 0 3\n", [], []),
+], ids=["comments-and-blank-lines", "bag-ids-out-of-order", "bag-id-missing-last", "crlf",
+        "no-bags"])
 def test_read_td_accepts(text, bags, tree):
     td = read_td(text, 3)
     assert td.bags == [frozenset(b) for b in bags] and td.tree == tree

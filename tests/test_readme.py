@@ -1,11 +1,14 @@
 """README's examples run as written: the library block as Python, and each
 `ecclab ...` line of the CLI block through `cli.main`.  Its per-subcommand
-flag list matches the parser."""
+flag list matches the parser, and the package top exports exactly the names
+the library block imports."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
+import ecclab
 from conftest import cli_flags
 from ecclab.cli import main
 
@@ -19,6 +22,14 @@ def blocks(lang):
 def test_readme_python_block_runs():
     (code,) = blocks("python")
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_package_top_exports_only_the_library_block_names():
+    (code,) = blocks("python")
+    imported = re.search(r"^from ecclab import \((.*?)\)", code, re.M | re.S).group(1)
+    public = {name for name, value in vars(ecclab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == set(re.findall(r"\w+", imported))
 
 
 def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch):
