@@ -51,24 +51,22 @@ def approx_source_radius(g, rng):
     """2-approximation of the source radius R = min_v max_u d(v -> u).
 
     Deterministically estimate >= R; estimate <= 2R with high probability.
-    Steps: the exact eccentricities of a random sample S; w, the first vertex
-    farthest from S, by one search from all of S; those of the ⌈√n⌉ vertices
-    with the least d(. -> w), less S.  The estimate is the least of them, that
-    of the returned witness, the first sampled vertex attaining it.
+    Steps: w, the first vertex farthest from a random sample S1, by one search
+    from all of S1; S2, the ⌈√n⌉ vertices with the least d(. -> w), less S1;
+    the exact eccentricities of S1 then S2, by one ``sampled_ecc`` call.  The
+    estimate is the least of them, that of the first sampled vertex attaining it.
     """
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
     size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n)))) if n > 1 else 1
     s1 = sorted(sample_vertex_set(n, size1, rng))
-    ecc1 = sampled_ecc(g, SOURCE, s1)
     near = shortest_paths(g, s1, FORWARD)
     w = near.index(max(near))
     size2 = math.ceil(math.sqrt(n))
     s2 = sorted({v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)}.difference(s1))
-    ecc2 = sampled_ecc(g, SOURCE, s2)
 
-    best, witness = min(zip(ecc1 + ecc2, s1 + s2))
+    best, witness = min(zip(sampled_ecc(g, SOURCE, s1 + s2), s1 + s2))
     return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
 
 
@@ -190,12 +188,20 @@ def finite_min_eccentricities(g):
     return [node_ok[comp[v]] for v in range(g.n)]
 
 
-def approximate_center(g, r):
+def _records(dist, vs):
+    """(v, d) for the v of vs whose d = dist.get(v, INF) beats every earlier one's."""
+    ds = [dist.get(v, INF) for v in vs]
+    tops = itertools.accumulate(ds, max, initial=-1)
+    return [(v, d) for v, d, top in zip(vs, ds, tops) if d > top]
+
+
+def approximate_center(g, r, scans=None):
     """Search a topologically-labeled DAG for a center within factor 3 of r.
 
     Returns a vertex v with min-eccentricity <= 3r, or None, in which case
     every vertex has min-eccentricity > r.  Vertex ids must already be a
-    topological order.
+    topological order.  ``scans``, a dict shared by the probes of one DAG,
+    keeps each anchor's scans, which do not depend on r.
     """
     n = g.n
     if n == 0:
@@ -204,15 +210,18 @@ def approximate_center(g, r):
         return 0
     cnt = max(2, math.ceil(math.sqrt(n)))
     anchors = sorted({(i * (n - 1)) // (cnt - 1) for i in range(cnt)})
+    scans = {} if scans is None else scans
 
     intervals = []
     for a in anchors:
-        into = _dag_interval_dist(g.adj_out, range(a - 1, -1, -1), 0, n - 1, a)
-        outof = _dag_interval_dist(g.adj_in, range(a + 1, n), 0, n - 1, a)
+        if a not in scans:
+            into = _dag_interval_dist(g.adj_out, range(a - 1, -1, -1), 0, n - 1, a)
+            outof = _dag_interval_dist(g.adj_in, range(a + 1, n), 0, n - 1, a)
+            scans[a] = (_records(into, range(a)), _records(outof, range(n - 1, a, -1)))
         # [lo, hi] spans the vertices farther than 2r from a: the first one
         # before a and the last one after it.
-        lo = next((v for v in range(a) if into.get(v, INF) > 2 * r), a)
-        hi = next((v for v in range(n - 1, a, -1) if outof.get(v, INF) > 2 * r), a)
+        lo = next((v for v, d in scans[a][0] if d > 2 * r), a)
+        hi = next((v for v, d in scans[a][1] if d > 2 * r), a)
         if lo == hi == a:
             return a
         if intervals and lo <= intervals[-1][1] + 1:
@@ -237,15 +246,16 @@ def approx_min_radius_dag(g):
     Returns the smallest threshold r for which a center was found; then
     R <= min-ecc(witness) <= 3R where R is the exact min-radius, and the
     estimate r satisfies r <= R.  A binary search finds r with one
-    approximate_center probe per threshold.  Estimate is INF when every
-    vertex has infinite min-eccentricity.
+    approximate_center probe per threshold, all sharing one dict of anchor
+    scans.  Estimate is INF when every vertex has infinite min-eccentricity.
     """
     h, back = relabel_topological(g)
     n = h.n
     if n <= 1:
         return ApproxResult(0, back[0] if n else None, (Fraction(1), Fraction(3)), whp=False)
     hi = h.max_weight * n
-    found = approximate_center(h, hi)
+    scans = {}
+    found = approximate_center(h, hi, scans)
     if found is None:
         return ApproxResult(INF, None, (Fraction(1), Fraction(3)), whp=False)
     # Invariant: lo == 0 or the probe at lo - 1 returned None, so at the end
@@ -253,7 +263,7 @@ def approx_min_radius_dag(g):
     lo = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        v = approximate_center(h, mid)
+        v = approximate_center(h, mid, scans)
         if v is not None:
             found, hi = v, mid
         else:

@@ -4,19 +4,19 @@ Input graphs are undirected and unweighted, promised to have diameter
 (respectively radius) 2 or 3.  Two vertices are at distance >= 3 exactly when
 their closed neighborhoods are disjoint, so the decision reduces to
 orthogonal-vectors (diameter) and hitting-set (radius) questions over
-neighborhoods.  Vertices of degree >= delta are handled by exact traversals.
-The low-degree neighborhoods are hashed into d = 10 * delta**2 coordinates,
-as `hashed_masks` defines, and each round answers every disjointness question
-at once on narrow columns: `member[w]` is the bitmask over the tested
-vertices whose closed neighborhood holds w, `cols[h(w)]` ORs the members of
-one coordinate, and the OR of `cols[h(w)]` over w in N[i] has bit j set
-exactly when the hashed neighborhoods of i and j meet.  No d-bit mask is
-built.
+neighborhoods.  Vertices of degree >= delta are handled exactly, by two OR
+levels over the closed neighborhoods from all of them at once.  The low-degree
+neighborhoods are hashed into d = 10 * delta**2 coordinates, as `hashed_masks`
+defines, and each round answers every disjointness question at once on narrow
+columns: `member[w]` is the bitmask over the tested vertices whose closed
+neighborhood holds w, `cols[h(w)]` ORs the members of one coordinate, and the
+OR of `cols[h(w)]` over w in N[i] has bit j set exactly when the hashed
+neighborhoods of i and j meet.  No d-bit mask is built.
 
 Diameter: the first low vertex whose hits miss some low vertex, with the
 first such vertex, is the pair the row-major orthogonal-vectors scan finds.
 Radius: a vertex at distance >= 3 from some high-degree vertex is no centre,
-so such candidates are dropped after the exact traversals; the remaining
+so such candidates are dropped after the exact two-hop pass; the remaining
 low-degree candidates must meet every low-degree neighborhood in every round.
 
 Error behavior is one-sided: a diameter-2 (radius-2) input is never answered 3,
@@ -30,12 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
-from .graph import shortest_paths
 from .oracle import VariantError
-# Not called here any more; the benchmark's tracer still wraps this name in
-# this module, so it stays importable from it.
+# Not called here any more; the benchmark's tracer still wraps these names in
+# this module, so they stay importable from it.
+from .graph import shortest_paths  # noqa: F401
 from .setsystem import solve_set_system  # noqa: F401
 
 DIAMETER = "diameter"
@@ -127,20 +127,27 @@ def reduce_decision23_to_set_system(g, target, rng, delta=None, rounds=DEFAULT_R
     nbhd = closed_neighborhoods(g)
     high = [v for v in range(g.n) if len(g.adj_out[v]) >= delta]
     low = [v for v in range(g.n) if len(g.adj_out[v]) < delta]
+    # near[u]: bit i is set exactly when high[i] is within distance 2 of u.
+    near = [0] * g.n
+    for i, v in enumerate(high):
+        near[v] = 1 << i
+    for _ in range(2):
+        near = [reduce(or_, map(near.__getitem__, nb)) for nb in nbhd]
 
     if target == DIAMETER:
-        return _reduce_diameter(g, nbhd, high, low, width, rng, rounds, delta)
-    return _reduce_radius(g, nbhd, high, low, width, rng, rounds, delta)
+        return _reduce_diameter(g, nbhd, high, low, near, width, rng, rounds, delta)
+    return _reduce_radius(g, nbhd, high, low, near, width, rng, rounds, delta)
 
 
-def _reduce_diameter(g, nbhd, high, low, width, rng, rounds, delta):
-    # Exact traversals cover every pair that touches a high-degree vertex.
-    for v in high:
-        dist = shortest_paths(g, v)
-        far = [u for u in range(g.n) if dist[u] >= 3]
-        if far:
-            return ReductionResult(3, DIAMETER, (v, far[0]), 0, delta, width, high,
-                                   notes="high-degree traversal")
+def _reduce_diameter(g, nbhd, high, low, near, width, rng, rounds, delta):
+    # The two-hop masks cover every pair that touches a high-degree vertex.
+    all_high = (1 << len(high)) - 1
+    missing = all_high & ~reduce(and_, near, all_high)
+    if missing:
+        i = (missing & -missing).bit_length() - 1
+        u = next(u for u, m in enumerate(near) if not m >> i & 1)
+        return ReductionResult(3, DIAMETER, (high[i], u), 0, delta, width, high,
+                               notes="high-degree traversal")
     if not low:  # every pair touches a high-degree vertex: nothing to hash
         rounds = 0
     # The hash covers the ids in the low neighborhoods, as hashed_masks does.
@@ -159,17 +166,15 @@ def _reduce_diameter(g, nbhd, high, low, width, rng, rounds, delta):
     return ReductionResult(2, DIAMETER, None, rounds, delta, width, high)
 
 
-def _reduce_radius(g, nbhd, high, low, width, rng, rounds, delta):
+def _reduce_radius(g, nbhd, high, low, near, width, rng, rounds, delta):
     # A high-degree vertex with eccentricity <= 2 settles the radius directly;
     # a vertex at distance >= 3 from a high-degree vertex is no centre.
-    far = set()
-    for v in high:
-        dist = shortest_paths(g, v)
-        far_v = [u for u in range(g.n) if dist[u] >= 3]
-        if not far_v:
-            return ReductionResult(2, RADIUS, v, 0, delta, width, high,
-                                   notes="high-degree traversal")
-        far.update(far_v)
+    all_high = (1 << len(high)) - 1
+    central = reduce(and_, near, all_high)
+    if central:
+        return ReductionResult(2, RADIUS, high[(central & -central).bit_length() - 1], 0,
+                               delta, width, high, notes="high-degree traversal")
+    far = {u for u, m in enumerate(near) if m != all_high}
     # The remaining low-degree candidates must meet every low-degree
     # neighborhood in every hashed round: a true radius-2 center always does,
     # a radius-3 pretender survives a round only through a hash collision

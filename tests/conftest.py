@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import random
+from fractions import Fraction
 
+from ecclab.approx import SAMPLE_C, ApproxResult
 from ecclab.cli import build_parser
-from ecclab.graph import INF, Graph, GraphFormatError, shortest_paths
-from ecclab.oracle import EccentricityReport
+from ecclab.graph import (
+    BACKWARD,
+    FORWARD,
+    INF,
+    Graph,
+    GraphFormatError,
+    sample_vertex_set,
+    shortest_paths,
+    truncated_shortest_paths,
+)
+from ecclab.oracle import SOURCE, EccentricityReport, sampled_ecc
 from ecclab.reduce23 import (
     DIAMETER,
     RADIUS,
@@ -330,6 +342,23 @@ def reference_reduce23(g, target, rng, delta=None, rounds=20):
         return ReductionResult(2, RADIUS, survivors[0], used, delta, width, high,
                                notes="hashed rounds")
     return ReductionResult(3, RADIUS, None, used, delta, width, high)
+
+
+def reference_source_radius(g, rng):
+    """``approx_source_radius`` with one ``sampled_ecc`` call per sample: the
+    eccentricities of S1, then w from S1, then those of S2.  The merged call
+    over S1 then S2 must give the same ApproxResult."""
+    n = g.n
+    size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n)))) if n > 1 else 1
+    s1 = sorted(sample_vertex_set(n, size1, rng))
+    ecc1 = sampled_ecc(g, SOURCE, s1)
+    near = shortest_paths(g, s1, FORWARD)
+    w = near.index(max(near))
+    size2 = math.ceil(math.sqrt(n))
+    s2 = sorted({v for v, _ in truncated_shortest_paths(g, w, size2, BACKWARD)}.difference(s1))
+    ecc2 = sampled_ecc(g, SOURCE, s2)
+    best, witness = min(zip(ecc1 + ecc2, s1 + s2))
+    return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
 
 
 def cli_flags():

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import random
@@ -10,8 +11,9 @@ from conftest import (
     random_dag,
     random_digraph,
     reference_eccentricities,
+    reference_source_radius,
 )
-from ecclab import approx
+from ecclab import approx, oracle
 from ecclab.approx import (
     approx_min_diameter,
     approx_min_diameter_dag,
@@ -33,6 +35,7 @@ from ecclab.graph import (
 )
 from ecclab.oracle import SWEEP_MAX_WEIGHT, exact_eccentricities, sweep_source_ecc
 from ecclab.seeds import substream
+from ecclab.treewidth import generate_partial_ktree
 
 
 def test_source_radius_two_approx_random():
@@ -125,6 +128,54 @@ def test_sampled_searches_fall_back_past_the_sweep():
     for seed in range(3):
         _check_against_loops(heavy, seed)
         _check_against_loops(path, seed)
+
+
+def _chorded_cycle(rng, n, top):
+    """The directed cycle 0 -> 1 -> ... -> 0 plus n // 50 random chords, weights 1..top."""
+    edges = [(u, (u + 1) % n, rng.randint(1, top)) for u in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n), rng.randint(1, top)) for _ in range(n // 50)]
+    return Graph(n, edges)
+
+
+def test_source_radius_matches_the_two_call_reference(monkeypatch):
+    # One sampled_ecc call over S1 then S2 gives the ApproxResult of one call
+    # per sample, whichever samples the sweep answers: both (a dense random
+    # digraph); S1 but not S2 (an 800-vertex 2-tree with both arcs, weights
+    # 1..3, as in the benchmark); neither (a directed cycle with chords, and
+    # weights above SWEEP_MAX_WEIGHT).
+    answered = []
+    sweep = oracle.sweep_source_ecc
+
+    def recorded(g, variant, sources, *rest):
+        ecc = sweep(g, variant, sources, *rest)
+        answered.append(ecc is not None)
+        return ecc
+
+    calls = []
+    sampled = approx.sampled_ecc
+
+    def counted(*args):
+        calls.append(args)
+        return sampled(*args)
+
+    monkeypatch.setattr(oracle, "sweep_source_ecc", recorded)
+    monkeypatch.setattr(approx, "sampled_ecc", counted)
+    rng = random.Random(23)
+    ktree, _ = generate_partial_ktree(800, 2, 1.0, rng)
+    both_arcs = Graph(800, [(x, y, rng.randint(1, 3)) for u, v, _ in ktree.edges
+                            for x, y in ((u, v), (v, u))])
+    graphs = [(random_digraph(rng, 1000, 30000), (True, True)),
+              (both_arcs, (True, False)),
+              (_chorded_cycle(rng, 400, 3), (False, False)),
+              (random_digraph(rng, 300, 1500, SWEEP_MAX_WEIGHT + 4), (False, False))]
+    for g, regime in graphs:
+        for seed in range(2):
+            answered.clear()
+            want = reference_source_radius(g, random.Random(seed))
+            assert tuple(answered) == regime, (g.n, g.m, seed)
+            calls.clear()
+            assert approx_source_radius(g, random.Random(seed)) == want
+            assert len(calls) == 1
 
 
 def test_min_diameter_dag_two_approx():
@@ -240,9 +291,9 @@ def test_dag_outputs_pinned():
 def test_min_radius_dag_probes_each_threshold_once(monkeypatch):
     probes = []
 
-    def counting(h, r):
+    def counting(h, r, *rest):
         probes.append(r)
-        return approximate_center(h, r)
+        return approximate_center(h, r, *rest)
 
     monkeypatch.setattr(approx, "approximate_center", counting)
     rng = random.Random(7)
@@ -251,6 +302,49 @@ def test_min_radius_dag_probes_each_threshold_once(monkeypatch):
         n = rng.randint(2, 30)
         approx_min_radius_dag(_shuffled_dag(rng, n, rng.randint(0, n * n // 2), rng.choice((1, 3))))
         assert len(probes) == len(set(probes)), probes
+
+
+def test_min_radius_dag_scans_each_anchor_once(monkeypatch):
+    # The anchors' scans do not depend on the threshold, so over all the
+    # probes of one call each anchor is scanned at most once each way.  (The
+    # gap scans between excluded intervals are of other vertices.)
+    scans = collections.Counter()
+    probes = []
+    scan, center = approx._dag_interval_dist, approx.approximate_center
+
+    def counted_scan(adj, order, pos_lo, pos_hi, root):
+        scans[root, id(adj)] += 1
+        return scan(adj, order, pos_lo, pos_hi, root)
+
+    def counted_center(h, r, *rest):
+        probes.append(r)
+        return center(h, r, *rest)
+
+    monkeypatch.setattr(approx, "_dag_interval_dist", counted_scan)
+    monkeypatch.setattr(approx, "approximate_center", counted_center)
+    rng = random.Random(9)
+    repeated = 0
+    for _ in range(40):
+        scans.clear()
+        probes.clear()
+        n = rng.randint(2, 40)
+        approx_min_radius_dag(_shuffled_dag(rng, n, rng.randint(0, n * n // 2), rng.choice((1, 3))))
+        cnt = max(2, math.ceil(math.sqrt(n)))
+        anchors = {(i * (n - 1)) // (cnt - 1) for i in range(cnt)}
+        assert max(k for (root, _), k in scans.items() if root in anchors) == 1
+        repeated += len(probes) >= 2
+    assert repeated >= 10
+
+
+def test_approximate_center_with_shared_scans_matches_alone():
+    rng = random.Random(10)
+    for _ in range(80):
+        n = rng.randint(1, 40)
+        h, _ = relabel_topological(_shuffled_dag(rng, n, rng.randint(0, n * n // 2),
+                                                 rng.choice((1, 3))))
+        shared = {}
+        for r in rng.sample(range(9), 9):
+            assert approximate_center(h, r, shared) == approximate_center(h, r), (h.edges, r)
 
 
 def test_min_radius_dag_witness_is_the_center_at_the_estimate():

@@ -6,7 +6,7 @@ import pytest
 from conftest import reference_reduce23
 from ecclab import reduce23
 from ecclab.gadgets import gadget_radius_23, gadget_undirected_diameter_23
-from ecclab.graph import Graph, shortest_paths
+from ecclab.graph import INF, Graph, shortest_paths
 from ecclab.oracle import VariantError, exact_eccentricities
 from ecclab.reduce23 import (
     DIAMETER,
@@ -163,11 +163,16 @@ def test_rounds_used_counts_drawn_rounds(monkeypatch):
     assert (res.value, res.rounds_used, drawn) == (2, 0, [])
 
 
-def _far_drop_runs(g, delta):
-    """Some low-degree vertex is at distance >= 3 from a high-degree one."""
+def _far_drop_runs(g, delta, at_least=3):
+    """Some low-degree vertex is at distance >= at_least from a high-degree one."""
     high = [v for v in range(g.n) if len(g.adj_out[v]) >= delta]
     low = [v for v in range(g.n) if len(g.adj_out[v]) < delta]
-    return any(shortest_paths(g, v)[c] >= 3 for v in high for c in low)
+    return any(shortest_paths(g, v)[c] >= at_least for v in high for c in low)
+
+
+def side_by_side(g, h):
+    """The disjoint union of two undirected graphs, h's ids shifted past g's."""
+    return Graph(g.n + h.n, g.edges + [(u + g.n, v + g.n) for u, v, _ in h.edges], undirected=True)
 
 
 def test_column_rounds_match_full_mask_reference():
@@ -178,18 +183,35 @@ def test_column_rounds_match_full_mask_reference():
                                rng, density=rng.choice([0.2, 0.5, 0.8]))
         graphs.append(gadget_undirected_diameter_23(inst).graph)
         graphs.append(gadget_radius_23(inst).graph)
+    # Vertices that no high-degree vertex reaches: two gadgets side by side,
+    # and a gadget plus an isolated vertex.  Then K6, where every vertex is
+    # high-degree at every delta, and a path of 5, where none is at delta 3.
+    graphs.append(side_by_side(graphs[3], graphs[4]))
+    graphs.append(side_by_side(graphs[5], Graph(1, [], undirected=True)))
+    graphs.append(Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)], undirected=True))
+    graphs.append(Graph(5, [(u, u + 1) for u in range(4)], undirected=True))
     seen = set()
     for g in graphs:
         for target in (DIAMETER, RADIUS):
             for delta in (None, 2, 3):
-                if target == RADIUS and _far_drop_runs(g, delta or default_delta(g)):
+                d = delta or default_delta(g)
+                if target == RADIUS and _far_drop_runs(g, d):
                     seen.add("far-drop")
+                if target == RADIUS and _far_drop_runs(g, d, INF):
+                    seen.add("unreached")
+                if not any(len(g.adj_out[v]) >= d for v in range(g.n)):
+                    seen.add("no-high")
+                if all(len(g.adj_out[v]) >= d for v in range(g.n)):
+                    seen.add("all-high")
                 for seed in range(3):
                     got = reduce_decision23_to_set_system(g, target, substream(seed, "c"), delta)
                     want = reference_reduce23(g, target, substream(seed, "c"), delta)
                     assert dataclasses.astuple(got) == dataclasses.astuple(want)
                     seen.add((target, got.value, got.notes))
-    # Every exit of both targets was reached, and candidates were dropped.
-    assert seen >= {"far-drop", (DIAMETER, 2, ""), (DIAMETER, 3, "hashed round"),
+    # Every exit of both targets was reached, candidates were dropped, some
+    # because no high-degree vertex reaches them, and some graph had no
+    # high-degree vertex and some no low-degree one.
+    assert seen >= {"far-drop", "unreached", "no-high", "all-high",
+                    (DIAMETER, 2, ""), (DIAMETER, 3, "hashed round"),
                     (DIAMETER, 3, "high-degree traversal"), (RADIUS, 2, "hashed rounds"),
                     (RADIUS, 3, ""), (RADIUS, 2, "high-degree traversal")}

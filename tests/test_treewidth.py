@@ -591,10 +591,12 @@ def test_tw_scaling_tool_runs(family):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert re.fullmatch(rf"# Python \d+\.\d+\.\d+\S*, \d+ CPUs, family {family}", lines[0]), lines[0]
-    assert len(lines) == 6
-    # The td row times reading and validating the decomposition; it has no
-    # eccentricities to digest.
+    assert len(lines) == 7
+    # The td row times reading and validating the decomposition, and the
+    # approx row the source-radius approximation; neither has eccentricities
+    # to digest.
     assert re.fullmatch(r"\s+200 td\s+\d+\.\d\d\s+\d+\.\d  -", lines[2]), lines[2]
+    assert re.fullmatch(r"\s+200 approx\s+\d+\.\d\d\s+\d+\.\d  -", lines[6]), lines[6]
 
 
 def variants_of(g):

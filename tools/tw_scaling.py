@@ -18,7 +18,7 @@ For each n the input is one undirected graph of the family:
   bags {0, L, i, i+1, L+i, L+i+1}; its diameter is about L / 2 + 1, so the
   solver splits there too, on up to six portals.
 
-Four cases run on it, each in its own subprocess so that the process's
+Five cases run on it, each in its own subprocess so that the process's
 peak RSS is the case's own:
 
 - ``td``: ``read_td(text, n).validate(g)`` on the family's decomposition,
@@ -28,7 +28,11 @@ peak RSS is the case's own:
 - ``tw-td``: ``tw_eccentricities`` with the family's decomposition;
 - ``tw-mindeg``: ``min_degree_decomposition`` then ``tw_eccentricities``,
   the ``ecclab tw`` path without ``--td`` (the time includes both);
-- ``sweep``: ``oracle.sweep_ecc(g, "undirected", None)``.
+- ``sweep``: ``oracle.sweep_ecc(g, "undirected", None)``;
+- ``approx``: ``approx_source_radius(g, Random(1))``, the sampled
+  2-approximation of the source radius, whose eccentricities come from one
+  level sweep over its samples, or one search per sample where that sweep
+  gives up (on the cycle and the cylinder).  Its digest is ``-`` too.
 
 A header line gives the Python version and the CPU count.  Each row gives
 the solve time (the graph's generation is not timed), the peak RSS of the
@@ -52,7 +56,7 @@ from pathlib import Path
 from random import Random
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CASES = ("td", "tw-td", "tw-mindeg", "sweep")
+CASES = ("td", "tw-td", "tw-mindeg", "sweep", "approx")
 FAMILIES = ("ktree", "cycle", "cylinder")
 
 
@@ -77,6 +81,7 @@ def build(family, n):
 def run_case(family, case, n):
     """Time one case on the family's n-vertex graph; return its row as a dict."""
     sys.path.insert(0, str(SRC))
+    from ecclab.approx import approx_source_radius
     from ecclab.oracle import sweep_ecc
     from ecclab.treewidth import min_degree_decomposition, read_td, tw_eccentricities, write_td
 
@@ -85,6 +90,9 @@ def run_case(family, case, n):
     start = time.perf_counter()
     if case == "td":
         read_td(text, n).validate(g)
+        ecc = "-"
+    elif case == "approx":
+        approx_source_radius(g, Random(1))
         ecc = "-"
     elif case == "tw-td":
         ecc = tw_eccentricities(g, td, "undirected").ecc
