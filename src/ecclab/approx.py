@@ -59,7 +59,7 @@ def approx_source_radius(g, rng):
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n)))) if n > 1 else 1
+    size1 = min(n, max(1, math.ceil(SAMPLE_C * math.sqrt(n) * math.log(n))))
     s1 = sorted(sample_vertex_set(n, size1, rng))
     near = shortest_paths(g, s1, FORWARD)
     w = near.index(max(near))
@@ -83,7 +83,7 @@ def approx_min_diameter(g, rng, epsilon):
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
-    size = min(n, max(1, math.ceil(SAMPLE_C * n ** (1 - float(epsilon)) * math.log(max(n, 2)))))
+    size = min(n, max(1, math.ceil(SAMPLE_C * n ** (1 - float(epsilon)) * math.log(n))))
     sample = sorted(sample_vertex_set(n, size, rng))
     ecc = sampled_ecc(g, MIN, sample)
     est = 1 if g.m else 0
@@ -95,7 +95,7 @@ def approx_min_diameter(g, rng, epsilon):
         s = sample[ecc.index(diameter)]
         row = list(pair_row(MIN, shortest_paths(g, s, FORWARD), shortest_paths(g, s, BACKWARD)))
         est, witness = diameter, row.index(diameter)
-    factor = Fraction(max(3, math.ceil(n ** float(epsilon)))) if n else Fraction(3)
+    factor = Fraction(max(3, math.ceil(n ** float(epsilon))))
     return ApproxResult(est, witness, (Fraction(1), factor), whp=True)
 
 
@@ -134,8 +134,6 @@ def approx_min_diameter_dag(g):
     stack = [(0, n - 1)]
     while stack:
         lo, hi = stack.pop()
-        if hi - lo < 1:
-            continue
         w = (lo + hi) // 2
         into = _dag_interval_dist(h.adj_out, range(w - 1, lo - 1, -1), lo, hi, w)
         outof = _dag_interval_dist(h.adj_in, range(w + 1, hi + 1), lo, hi, w)

@@ -446,7 +446,6 @@ def _attach_dg(b, leaf_ids, t, tag):
     out["leaves"] = leaves
     out["heap_index"] = {v: size + i for i, v in enumerate(leaves)}
     if size == 1:
-        out["all"] = leaves
         return out
     chains = {}
     for idx in range(1, size):
@@ -746,10 +745,6 @@ def _median_preprocess(inst):
         changed = False
         for j in range(d):
             bit = 1 << j
-            in_a = any(m & bit for m in list_a)
-            in_b = any(m & bit for m in list_b)
-            if not in_a and not in_b:
-                continue
             if list_a and all(m & bit for m in list_a):
                 list_a = [m & ~bit for m in list_a]
                 list_b = [m for m in list_b if not m & bit]

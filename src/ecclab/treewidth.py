@@ -47,7 +47,6 @@ from .graph import (
 from .oracle import (
     MAX,
     MIN,
-    ROUNDTRIP,
     SOURCE,
     UNDIRECTED,
     check_variant,
@@ -501,10 +500,8 @@ def _cross_values(variant, avs, portals, cvs, fwd, bwd):
         return list(map(max, farthest(out), farthest(back)))
     if variant == MIN:
         return farthest(out + back)
-    if variant == ROUNDTRIP:
-        # Leg by leg, the row sums of every (out, back) pair: a -> p -> c -> q -> a.
-        return farthest([[list(map(add, *rows)) for rows in zip(o, b)] for o in out for b in back])
-    raise ValueError(f"unknown variant {variant!r}")
+    # ROUNDTRIP, leg by leg, the row sums of every (out, back) pair: a -> p -> c -> q -> a.
+    return farthest([[list(map(add, *rows)) for rows in zip(o, b)] for o in out for b in back])
 
 
 # Mask operations the level sweep may spend on a recursion node per machine

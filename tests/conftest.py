@@ -361,6 +361,43 @@ def reference_source_radius(g, rng):
     return ApproxResult(best, witness, (Fraction(1), Fraction(2)), whp=True)
 
 
+def reference_median_preprocess(inst):
+    """``gadgets._median_preprocess`` as it was when it also skipped, by an
+    explicit test, every element in no set: (list_a, list_b, d) once every
+    element in all a-sets is dropped, with the b-sets holding it, and the
+    universe is compacted to the elements still used."""
+    list_a = list(inst.list_a)
+    list_b = list(inst.list_b)
+    d = inst.d
+    changed = True
+    while changed:
+        changed = False
+        for j in range(d):
+            bit = 1 << j
+            in_a = any(m & bit for m in list_a)
+            in_b = any(m & bit for m in list_b)
+            if not in_a and not in_b:
+                continue
+            if list_a and all(m & bit for m in list_a):
+                list_a = [m & ~bit for m in list_a]
+                list_b = [m for m in list_b if not m & bit]
+                changed = True
+    used = 0
+    for m in list_a + list_b:
+        used |= m
+    remap = [j for j in range(d) if used >> j & 1]
+    pos = {j: i for i, j in enumerate(remap)}
+
+    def compact(m):
+        out = 0
+        for j in remap:
+            if m >> j & 1:
+                out |= 1 << pos[j]
+        return out
+
+    return [compact(m) for m in list_a], [compact(m) for m in list_b], len(remap)
+
+
 def cli_flags():
     """Each ecclab subcommand's flags, as build_parser() defines them."""
     (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -15,6 +15,7 @@ from conftest import (
 )
 from ecclab import approx, oracle
 from ecclab.approx import (
+    ApproxResult,
     approx_min_diameter,
     approx_min_diameter_dag,
     approx_min_radius_dag,
@@ -360,3 +361,48 @@ def test_min_radius_dag_witness_is_the_center_at_the_estimate():
         assert res.witness == back[approximate_center(h, res.estimate)]
         if res.estimate > 0:
             assert approximate_center(h, res.estimate - 1) is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: approx_source_radius(g, random.Random(1)),
+    lambda g: approx_min_diameter(g, random.Random(1), 0.5),
+    lambda g: approximate_center(g, 1),
+], ids=["source-radius", "min-diameter", "center"])
+def test_empty_graph_is_refused(call):
+    with pytest.raises(ValueError, match="^empty graph$"):
+        call(Graph(0))
+
+
+def test_min_diameter_dag_of_one_vertex_is_zero():
+    assert approx_min_diameter_dag(Graph(1, [])) == ApproxResult(0, None, (1, 2), whp=False)
+
+
+SMALL = {
+    "one": Graph(1, []),
+    "arc": Graph(2, [(0, 1)]),
+    "edge": Graph(2, [(0, 1)], undirected=True),
+    "path": Graph(3, [(0, 1), (1, 2)]),
+    "cycle": Graph(3, [(0, 1), (1, 2), (2, 0)]),
+    "weighted": Graph(3, [(0, 1, 5), (1, 2, 2), (2, 0, 7), (1, 0, 1)]),
+}
+
+
+# (estimate, witness) of approx_source_radius, then of approx_min_diameter,
+# whose factor is 3 at these sizes for both epsilons.
+@pytest.mark.parametrize("name, source, diameter", [
+    ("one", (0, 0), (0, None)),
+    ("arc", (1, 0), (1, None)),
+    ("edge", (1, 0), (1, None)),
+    ("path", (2, 0), (2, 2)),
+    ("cycle", (2, 0), (1, None)),
+    ("weighted", (2, 1), None),
+])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sampled_approximations_on_tiny_graphs_are_pinned(name, source, diameter, seed):
+    g = SMALL[name]
+    assert approx_source_radius(g, random.Random(seed)) == ApproxResult(*source, (1, 2), whp=True)
+    if diameter is None:  # approx_min_diameter takes unit weights only
+        return
+    for epsilon in (0.5, 1):
+        res = approx_min_diameter(g, random.Random(seed), epsilon)
+        assert res == ApproxResult(*diameter, (1, 3), whp=True)

@@ -562,3 +562,30 @@ def test_tw_refuses_a_decomposition_with_no_bags(tmp_path, monkeypatch, capsys):
     (tmp_path / "g.td").write_text("s td 0 0 3\n")
     code, _, err = run(["tw", "--input", "g.graph", "--td", "g.td"], capsys)
     assert (code, err) == (2, "error: decomposition has no bags\n")
+
+
+T_TOO_SMALL = "gadget rejected the instance: t must be at least 2"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({}, ["exact"], "--input is required"),
+    ({}, ["gen", "--kind", "nope", "--output", "p"], "unknown generator kind 'nope'"),
+    ({"g.graph": PATH3}, ["verify", "--input", "g.graph"], "--sidecar is required for verify"),
+    *[({}, ["gen", "--kind", kind, "--t", "1", "--output", "p"], T_TOO_SMALL)
+      for kind in ("source-radius", "max-radius", "min-radius-dag")],
+    ({}, ["gen", "--kind", "min-diameter-weighted", "--t", "0", "--output", "p"],
+     "gadget rejected the instance: t must be even and at least 2"),
+    ({"g.graph": PATH3, "g.td": "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 2\n1 2\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"], "bag tree must have 1 edges, found 2"),
+    ({"g.graph": PATH3, "g.td": "s td 2 2 3\nb 1 0 1\nb 2 1 2\n1 3\n"},
+     ["tw", "--input", "g.graph", "--td", "g.td"], "bag tree edge (0,2) out of range"),
+], ids=["exact-no-input", "gen-unknown-kind", "verify-no-sidecar", "gen-source-radius-t1",
+        "gen-max-radius-t1", "gen-min-radius-dag-t1", "gen-min-diameter-weighted-t0",
+        "td-edge-extra", "td-edge-bag-outside"])
+def test_guard_prints_its_message(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "p.graph").exists()

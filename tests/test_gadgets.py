@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -6,10 +7,12 @@ from argparse import Namespace
 
 import pytest
 
+from conftest import reference_median_preprocess
 from ecclab.cli import GADGET_KINDS
 from ecclab.gadgets import (
     GadgetError,
     GraphBuilder,
+    _median_preprocess,
     _tripartite,
     build_dg,
     gadget_all_eccentricities,
@@ -355,3 +358,30 @@ def test_gadget_outputs_pinned():
             digest.update(write_graph(g).encode())
             digest.update(json.dumps(info, sort_keys=True).encode())
     assert digest.hexdigest() == GADGET_DIGEST
+
+
+def test_median_preprocess_matches_the_reference():
+    rng = random.Random(24)
+    seen = collections.Counter()
+    for _ in range(12000):
+        d = rng.randint(0, 6)
+        full = (1 << d) - 1
+        list_a = [rng.randint(0, full) for _ in range(rng.randint(0, 4))]
+        list_b = [rng.randint(0, full) for _ in range(rng.randint(0, 4))]
+        if d and rng.random() < 0.4:  # an element in every a-set
+            bit = 1 << rng.randrange(d)
+            list_a = [m | bit for m in list_a]
+        if d and rng.random() < 0.4:  # an element in no set
+            keep = ~(1 << rng.randrange(d))
+            list_a, list_b = [m & keep for m in list_a], [m & keep for m in list_b]
+        inst = SetSystemInstance(d, list_a, list_b, HSE)
+        assert _median_preprocess(inst) == reference_median_preprocess(inst), inst
+        used = 0
+        for m in list_a + list_b:
+            used |= m
+        seen["d = 0"] += d == 0
+        seen["empty side"] += not list_a or not list_b
+        seen["in no set"] += used != full
+        seen["in every a-set"] += bool(list_a) and any(
+            all(m >> j & 1 for m in list_a) for j in range(d))
+    assert min(seen.values()) >= 1000, seen

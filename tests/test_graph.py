@@ -377,3 +377,12 @@ def _parsed_td(parse, text):
 @given(_TD_TEXT)
 def test_read_td_matches_the_reference_parser(text):
     assert _parsed_td(read_td, text) == _parsed_td(reference_read_td, text)
+
+
+def test_shortest_paths_refuses_an_unknown_direction():
+    with pytest.raises(ValueError, match="^unknown direction 'sideways'$"):
+        shortest_paths(Graph(2, [(0, 1)]), 0, "sideways")
+
+
+def test_graph_repr_names_size_and_kind():
+    assert repr(Graph(2, [(0, 1)])) == "Graph(n=2, m=1, directed)"

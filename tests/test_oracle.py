@@ -470,3 +470,7 @@ def test_source_sweep_gives_up_past_its_work_budget():
     line = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     assert sweep_source_ecc(line, "source", [2, 0], budget=12) is None
     assert sweep_source_ecc(line, "source", [2, 0], budget=13) == [INF, 3]
+
+
+def test_roundtrip_sweep_of_the_empty_graph_is_empty():
+    assert sweep_ecc(Graph(0), "roundtrip") == []

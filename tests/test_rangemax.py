@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +109,8 @@ def test_three_layer_random_with_infinities():
         insts.append(ThreeLayerInstance(shifted_copies(rng, na, bases(nb)), [list(r) for r in zip(*cols)]))
     for inst in insts:
         assert three_layer_farthest(inst) == three_layer_brute(inst)
+
+
+def test_three_layer_farthest_refuses_an_empty_c_layer():
+    with pytest.raises(ValueError, match="^empty C layer$"):
+        three_layer_farthest(ThreeLayerInstance([[1]], []))

@@ -215,3 +215,9 @@ def test_column_rounds_match_full_mask_reference():
                     (DIAMETER, 2, ""), (DIAMETER, 3, "hashed round"),
                     (DIAMETER, 3, "high-degree traversal"), (RADIUS, 2, "hashed rounds"),
                     (RADIUS, 3, ""), (RADIUS, 2, "high-degree traversal")}
+
+
+def test_reduce_refuses_an_unknown_target():
+    g = Graph(3, [(0, 1), (1, 2)], undirected=True)
+    with pytest.raises(ValueError, match="^target must be 'diameter' or 'radius'$"):
+        reduce_decision23_to_set_system(g, "median", random.Random(1))

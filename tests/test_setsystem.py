@@ -144,3 +144,13 @@ def test_reader_raises_only_format_errors(text):
         pass
     else:
         assert min(inst.d, inst.na, inst.nb) >= 0
+
+
+def test_read_set_system_skips_comment_lines_after_the_header():
+    text = "s 2 1 3 HSE\n0 2\n# a comment between sets\n1\n  # indented\n0\n"
+    assert read_set_system(text) == SetSystemInstance(3, [0b101, 0b010], [0b001], HSE)
+
+
+def test_read_set_system_drops_blank_lines_past_the_last_set():
+    # One blank line is the empty b-set; the ones after it are dropped.
+    assert read_set_system("s 1 1 2 OV\n0 1\n\n\n\n") == SetSystemInstance(2, [0b11], [0], OV)

@@ -675,3 +675,8 @@ def test_solver_and_search_outputs_pinned():
         res = approx_source_radius(g, substream(trial, "pin:approx"))
         digest.update(repr((res.estimate, res.witness)).encode())
     assert digest.hexdigest() == PATHS_DIGEST
+
+
+def test_partial_ktree_needs_k_plus_one_vertices():
+    with pytest.raises(ValueError, match=r"^need n >= k\+1 \(n=2, k=3\)$"):
+        generate_partial_ktree(2, 3, 1.0, random.Random(1))
