@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from .oracle import VariantError
 # Not called here any more; the benchmark's tracer still wraps these names in
@@ -108,9 +108,11 @@ def _columns(member, width, rng):
 
 
 def _hits(col, nb):
-    """Bit j is set exactly when the hashed neighborhood `nb` meets the hashed
-    neighborhood of tested vertex j."""
-    return reduce(or_, map(col.__getitem__, nb), 0)
+    """The OR of col[w] over w in nb; the module docstring says what it holds."""
+    hits = 0
+    for w in nb:
+        hits |= col[w]
+    return hits
 
 
 def reduce_decision23_to_set_system(g, target, rng, delta=None, rounds=DEFAULT_ROUNDS):
@@ -132,7 +134,7 @@ def reduce_decision23_to_set_system(g, target, rng, delta=None, rounds=DEFAULT_R
     for i, v in enumerate(high):
         near[v] = 1 << i
     for _ in range(2):
-        near = [reduce(or_, map(near.__getitem__, nb)) for nb in nbhd]
+        near = [_hits(near, nb) for nb in nbhd]
 
     if target == DIAMETER:
         return _reduce_diameter(g, nbhd, high, low, near, width, rng, rounds, delta)
@@ -174,12 +176,11 @@ def _reduce_radius(g, nbhd, high, low, near, width, rng, rounds, delta):
     if central:
         return ReductionResult(2, RADIUS, high[(central & -central).bit_length() - 1], 0,
                                delta, width, high, notes="high-degree traversal")
-    far = {u for u, m in enumerate(near) if m != all_high}
     # The remaining low-degree candidates must meet every low-degree
     # neighborhood in every hashed round: a true radius-2 center always does,
     # a radius-3 pretender survives a round only through a hash collision
     # between two neighborhoods of at most delta vertices each.
-    survivors = [c for c in low if c not in far]
+    survivors = [c for c in low if near[c] == all_high]
     # One coordinate is drawn per vertex id, as hashed_masks draws over all
     # closed neighborhoods, so a seed's rounds do not depend on `high`.
     member = _membership(nbhd, low, g.n)

@@ -506,9 +506,10 @@ def _cross_values(variant, avs, portals, cvs, fwd, bwd):
 
 # Mask operations the level sweep may spend on a recursion node per machine
 # word of its split cost (see _sweep_budget); it also scales the memory
-# gate.  Two runs each of 1, 2, 4 and 8 (Python 3.11, 2 CPUs): the
-# benchmark's tw-ktree solve_rel read 30-31, 24-25, 21-22 and 22-23 (about
-# 68 when every node splits); the undirected 3-tree of 25,600 vertices took
+# gate.  Two runs each of 1, 2, 4 and 8 (Python 3.11, 2 CPUs, before the
+# plain OR loop of oracle._levels; kept at 4 on purpose): the benchmark's
+# tw-ktree solve_rel read 30-31, 24-25, 21-22 and 22-23 (about 68 when
+# every node splits); the undirected 3-tree of 25,600 vertices took
 # 5.1-6.0, 4.4, 3.3-3.4 and 2.9-3.7 s at 94, 93, 97 and 103 MB peak
 # (7.8-10 s at 94 MB when every node splits); the unit cycle of 3,200
 # vertices did not move.

@@ -6,7 +6,11 @@ import argparse
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import or_
 
 from ecclab.approx import SAMPLE_C, ApproxResult
 from ecclab.cli import build_parser
@@ -230,6 +234,46 @@ def reference_validate(td, g):
     for v in range(g.n):
         if shared[v] != len(where[v]) - 1:
             raise DecompositionError(f"bags containing vertex {v} are not connected")
+
+
+def reference_levels(g, adj, weight, start=None):
+    """The (level, settled) items of ``oracle._levels`` from its earlier
+    level step, one ``reduce(or_, map(get, reads), mask)`` per vertex over a
+    single weighted read table.  Zero-weight arcs close each level by
+    repeated passes to a fixpoint: mask u takes mask x for every zero arc
+    u -> x until no mask changes."""
+    n = g.n
+    if start is None:
+        start = [1 << u for u in range(n)]
+    full = reduce(or_, start, 0)
+    reads = [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj]
+    zero = [(u, x) for u in range(n) for x, w in adj[u] if w == 0]
+
+    def close(level):
+        changed = True
+        while changed:
+            changed = False
+            for u, x in zero:
+                if level[x] & ~level[u]:
+                    level[u] |= level[x]
+                    changed = True
+        return level
+
+    level = close(list(start))
+    past = deque([level] + [[0] * n] * (weight - 1), maxlen=weight)
+    still = 0
+    while True:
+        yield level, still >= weight
+        if still >= weight:
+            continue
+        get = list(chain.from_iterable(past)).__getitem__
+        new = close([
+            mask if mask == full else reduce(or_, map(get, r), mask)
+            for r, mask in zip(reads, level)
+        ])
+        still = still + 1 if new == level else 0
+        past.appendleft(new)
+        level = new
 
 
 def random_digraph(rng, n, m, max_weight=1):

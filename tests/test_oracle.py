@@ -10,6 +10,7 @@ from conftest import (
     random_digraph,
     random_undirected,
     reference_eccentricities,
+    reference_levels,
     reference_report,
     variant_pair,
 )
@@ -351,6 +352,42 @@ def test_sweep_gives_up_past_its_work_budget():
     cycle = Graph(10, [(i, (i + 1) % 10, 1) for i in range(10)], undirected=True)
     assert sweep_ecc(cycle, "undirected") is None
     assert sweep_ecc(cycle, "undirected", budget=50) == [5] * 10
+
+
+def _settled_prefix(levels):
+    """The items of a level generator up to and including the first settled one."""
+    items = []
+    for level, settled in levels:
+        items.append((list(level), settled))
+        if settled:
+            return items
+
+
+def test_levels_match_the_reduce_map_step():
+    # The level count and the settle points decide the sweep's work budget
+    # and where it gives up, so they are pinned along with the levels.
+    rng = random.Random(25)
+    graphs = 0
+    for weights in ([1], range(1, 4), range(1, 17), range(0, 4)):
+        for directed in (False, True):
+            for _ in range(40):
+                n = rng.randint(1, 40)
+                edges = [(rng.randrange(n), rng.randrange(n), rng.choice(weights))
+                         for _ in range(rng.randint(0, 2 * n))]
+                if rng.random() < 0.5:
+                    edges += [(i, (i + 1) % n, rng.choice(weights)) for i in range(n)]
+                g = Graph(n, edges, undirected=not directed)
+                weight = max(1, g.max_weight)
+                # A sampled start as _source_sweep seeds it: bit i at source i.
+                sampled = [0] * n
+                for i, s in enumerate(rng.sample(range(n), rng.randint(1, n))):
+                    sampled[s] = 1 << i
+                for adj in (g.adj_out, g.adj_in):
+                    for start in (None, sampled):
+                        want = _settled_prefix(reference_levels(g, adj, weight, start))
+                        assert _settled_prefix(oracle._levels(g, adj, weight, start)) == want
+                graphs += 1
+    assert graphs == 320
 
 
 def _never_levels(*args):

@@ -599,6 +599,22 @@ def test_tw_scaling_tool_runs(family):
     assert re.fullmatch(r"\s+200 approx\s+\d+\.\d\d\s+\d+\.\d  -", lines[6]), lines[6]
 
 
+def test_tw_scaling_dktree(tw_scaling):
+    # The ktree family's 3-tree with both arcs of every edge, weights 1..3
+    # drawn after it from the same stream.
+    rng = random.Random(1)
+    ktree, td = treewidth.generate_partial_ktree(300, 3, 1.0, rng)
+    g, g_td = tw_scaling.build("dktree", 300)
+    assert g.edges == both_arcs(ktree, rng, 3).edges and g_td == td
+    for variant in ("min", "roundtrip"):
+        assert tw_eccentricities(g, g_td, variant).ecc == exact_eccentricities(g, variant).ecc
+    # A directed family has no undirected distances.
+    proc = subprocess.run([sys.executable, str(TOOLS / "tw_scaling.py"), "--family", "dktree",
+                           "--n", "200"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert re.fullmatch(r"error: family dktree is directed; .*\n", proc.stderr), proc.stderr
+
+
 def variants_of(g):
     return [v for v in VARIANTS if g.undirected or v != "undirected"]
 

@@ -4,12 +4,17 @@
     python3 tools/tw_scaling.py --n 12800 25600
     python3 tools/tw_scaling.py --family cycle --n 1600 3200
     python3 tools/tw_scaling.py --family cylinder --n 1600 3200
+    python3 tools/tw_scaling.py --family dktree --variant min --n 3200
 
-For each n the input is one undirected graph of the family:
+For each n the input is one graph of the family:
 
 - ``ktree`` (default): the 3-tree ``generate_partial_ktree(n, 3, 1.0,
   Random(1))`` with the generator's decomposition; the solver's sweep
   answers it at the top of the recursion;
+- ``dktree``: the same 3-tree with both arcs of every edge, each weighted
+  1..3 from the same ``Random(1)`` stream after the graph is drawn, as the
+  benchmark's directed k-trees are built; the only directed family, so the
+  only one that refuses the ``undirected`` variant;
 - ``cycle``: the unit cycle 0..n-1 with the width-2 decomposition of bags
   {0, i, i+1}; its diameter is n // 2, so the sweep gives up at the upper
   nodes and the solver splits them;
@@ -19,16 +24,18 @@ For each n the input is one undirected graph of the family:
   solver splits there too, on up to six portals.
 
 Five cases run on it, each in its own subprocess so that the process's
-peak RSS is the case's own:
+peak RSS is the case's own.  ``--variant`` (default ``undirected``) is the
+distance variant of the three cases that compute eccentricities:
 
 - ``td``: ``read_td(text, n).validate(g)`` on the family's decomposition,
   ``text`` its ``write_td`` (written before the clock starts): what ``ecclab
   tw --td`` pays to read and check it.  It computes no eccentricities, so
   its digest is ``-`` and it is outside the agreement check;
-- ``tw-td``: ``tw_eccentricities`` with the family's decomposition;
+- ``tw-td``: ``tw_eccentricities(g, td, variant)`` with the family's
+  decomposition;
 - ``tw-mindeg``: ``min_degree_decomposition`` then ``tw_eccentricities``,
   the ``ecclab tw`` path without ``--td`` (the time includes both);
-- ``sweep``: ``oracle.sweep_ecc(g, "undirected", None)``;
+- ``sweep``: ``oracle.sweep_ecc(g, variant, None)``;
 - ``approx``: ``approx_source_radius(g, Random(1))``, the sampled
   2-approximation of the source radius, whose eccentricities come from one
   level sweep over its samples, or one search per sample where that sweep
@@ -57,7 +64,7 @@ from random import Random
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CASES = ("td", "tw-td", "tw-mindeg", "sweep", "approx")
-FAMILIES = ("ktree", "cycle", "cylinder")
+FAMILIES = ("ktree", "dktree", "cycle", "cylinder")
 
 
 def build(family, n):
@@ -65,8 +72,13 @@ def build(family, n):
     from ecclab.graph import Graph
     from ecclab.treewidth import TreeDecomposition, generate_partial_ktree
 
-    if family == "ktree":
-        return generate_partial_ktree(n, 3, 1.0, Random(1))
+    if family in ("ktree", "dktree"):
+        rng = Random(1)
+        g, td = generate_partial_ktree(n, 3, 1.0, rng)
+        if family == "ktree":
+            return g, td
+        return Graph(n, [(x, y, rng.randint(1, 3)) for u, v, _ in g.edges
+                         for x, y in ((u, v), (v, u))]), td
     if family == "cycle":
         g = Graph(n, [(u, (u + 1) % n) for u in range(n)], undirected=True)
         return g, TreeDecomposition([{0, i, i + 1} for i in range(1, n - 1)],
@@ -78,9 +90,8 @@ def build(family, n):
                                 [(i, i + 1) for i in range(L - 3)])
 
 
-def run_case(family, case, n):
+def run_case(family, case, n, variant):
     """Time one case on the family's n-vertex graph; return its row as a dict."""
-    sys.path.insert(0, str(SRC))
     from ecclab.approx import approx_source_radius
     from ecclab.oracle import sweep_ecc
     from ecclab.treewidth import min_degree_decomposition, read_td, tw_eccentricities, write_td
@@ -95,11 +106,11 @@ def run_case(family, case, n):
         approx_source_radius(g, Random(1))
         ecc = "-"
     elif case == "tw-td":
-        ecc = tw_eccentricities(g, td, "undirected").ecc
+        ecc = tw_eccentricities(g, td, variant).ecc
     elif case == "tw-mindeg":
-        ecc = tw_eccentricities(g, min_degree_decomposition(g), "undirected").ecc
+        ecc = tw_eccentricities(g, min_degree_decomposition(g), variant).ecc
     else:
-        ecc = sweep_ecc(g, "undirected", None)
+        ecc = sweep_ecc(g, variant, None)
     seconds = time.perf_counter() - start
     digest = ecc if ecc in (None, "-") else hashlib.sha256(json.dumps(ecc).encode()).hexdigest()[:12]
     # ru_maxrss is in KiB on Linux.
@@ -108,25 +119,35 @@ def run_case(family, case, n):
 
 
 def main(argv=None):
+    sys.path.insert(0, str(SRC))
+    from ecclab.oracle import VARIANTS
+
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, nargs="+", default=[1600, 3200, 6400],
                     help="graph sizes (default: 1600 3200 6400)")
     ap.add_argument("--family", choices=FAMILIES, default="ktree",
                     help="input family (default: ktree)")
+    ap.add_argument("--variant", choices=VARIANTS, default="undirected",
+                    help="distance variant of the sweep and tw cases (default: undirected)")
     ap.add_argument("--case", choices=CASES, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.family == "dktree" and args.variant == "undirected":
+        print("error: family dktree is directed; pick --variant source, max, min or roundtrip",
+              file=sys.stderr)
+        return 2
     if args.case:
-        print(json.dumps(run_case(args.family, args.case, args.n[0])))
+        print(json.dumps(run_case(args.family, args.case, args.n[0], args.variant)))
         return 0
 
-    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs, family {args.family}")
+    variant = "" if args.variant == "undirected" else f", variant {args.variant}"
+    print(f"# Python {platform.python_version()}, {os.cpu_count()} CPUs, family {args.family}{variant}")
     print(f"{'n':>7} {'case':<10} {'time s':>8} {'peak MB':>8}  digest")
     ok = True
     for n in args.n:
         digests = set()
         for case in CASES:
             proc = subprocess.run([sys.executable, __file__, "--family", args.family,
-                                   "--case", case, "--n", str(n)],
+                                   "--variant", args.variant, "--case", case, "--n", str(n)],
                                   capture_output=True, text=True, check=True)
             row = json.loads(proc.stdout.splitlines()[-1])
             digest = row["digest"] or "gave up"
