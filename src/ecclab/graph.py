@@ -9,9 +9,11 @@ saturates naturally.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import deque
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne
 
 INF = float("inf")
 
@@ -30,6 +32,9 @@ class Graph:
     symmetric.  Parallel edges are permitted; shortest paths ignore the
     heavier copies.  ``edges`` is not changed after construction, so each
     view derived from it is computed once, on first use, and cached.
+
+    The constructor checks every edge and drops self-loops; ``_trusted``
+    builds a graph from edges already known to pass, with no check.
     """
 
     def __init__(self, n, edges=(), undirected=False):
@@ -50,25 +55,37 @@ class Graph:
                 continue
             self.edges.append((u, v, w))
 
+    @classmethod
+    def _trusted(cls, n, edges, undirected=False):
+        """The graph on ``edges``, a list of (u, v, w) triples that the
+        constructor would keep as they are: 0 <= u, v < n, u != v and w a
+        nonnegative int.  Nothing is checked, and the list is not copied."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g.undirected = n, edges, undirected
+        return g
+
     @property
     def m(self):
         return len(self.edges)
 
     @cached_property
     def unit_weights(self):
-        return all(w == 1 for _, _, w in self.edges)
+        return self.max_weight == 1 == min(map(itemgetter(2), self.edges), default=1)
 
     @cached_property
     def max_weight(self):
-        return max((w for _, _, w in self.edges), default=1)
+        return max(map(itemgetter(2), self.edges), default=1)
 
     @cached_property
     def adj_out(self):
         out = [[] for _ in range(self.n)]
-        for u, v, w in self.edges:
-            out[u].append((v, w))
-            if self.undirected:
+        if self.undirected:
+            for u, v, w in self.edges:
+                out[u].append((v, w))
                 out[v].append((u, w))
+        else:
+            for u, v, w in self.edges:
+                out[u].append((v, w))
         return out
 
     @cached_property
@@ -140,7 +157,7 @@ def truncated_shortest_paths(g, source, k, direction=FORWARD):
 def topological_order(g):
     """Kahn's algorithm, smallest vertex id first.  None if g has a cycle."""
     indeg = [0] * g.n
-    for _, v, _ in g.directed_edges():
+    for _, v, _ in g.directed_edges() if g.undirected else g.edges:
         indeg[v] += 1
     heap = [v for v in range(g.n) if indeg[v] == 0]
     heapq.heapify(heap)
@@ -208,14 +225,14 @@ def condense_scc(g):
     ncomp = len(relabel)
 
     best = {}
-    for u, v, w in g.directed_edges():
+    for u, v, w in g.directed_edges() if g.undirected else g.edges:
         cu, cv = comp[u], comp[v]
         if cu == cv:
             continue
         key = (cu, cv)
         if w < best.get(key, INF):
             best[key] = w
-    dag = Graph(ncomp, [(u, v, w) for (u, v), w in best.items()])
+    dag = Graph._trusted(ncomp, [(u, v, w) for (u, v), w in best.items()])
     return comp, dag
 
 
@@ -238,7 +255,7 @@ def relabel_topological(g):
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    h = Graph(g.n, [(pos[u], pos[v], w) for u, v, w in g.edges], undirected=g.undirected)
+    h = Graph._trusted(g.n, [(pos[u], pos[v], w) for u, v, w in g.edges], g.undirected)
     return h, order
 
 
@@ -262,11 +279,18 @@ def read_graph(text):
     ``u v`` for unit weights or ``u v w`` when weighted; ``#`` starts a
     comment.  Undirected edges are listed once.
 
-    The edge lines are split, counted and converted in bulk, with no token
-    list kept; only a file that fails is read again line by line, for its
-    first bad line.  A bad line is reported before a wrong edge count, and
-    that before an edge out of range or a negative weight.
+    Text spelled exactly as ``write_graph`` writes it (ASCII digits, single
+    spaces, every line ending in a newline, no comment and no blank line) is
+    read fastest, by ``_read_canonical``.  Any other text takes the general
+    path below, and any other valid spelling gives the same graph.  There the
+    edge lines are split, counted and converted in bulk, with no token list
+    kept; only a file that fails is read again line by line, for its first
+    bad line.  A bad line is reported before a wrong edge count, and that
+    before an edge out of range or a negative weight.
     """
+    g = _read_canonical(text)
+    if g is not None:
+        return g
     raws = text.splitlines()
     lines = [raw.split("#", 1)[0] for raw in raws] if "#" in text else raws
     counts = list(map(len, map(str.split, lines)))
@@ -302,6 +326,43 @@ def read_graph(text):
         # A non-integer token, or Graph's own error, which a bad line precedes.
         _check_edge_lines(raws, lines, arity)
         raise
+
+
+# The header write_graph writes, and the digits its edge lines are spelled in.
+_CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+) ([DU]) ([W1])\n")
+_DIGITS = dict.fromkeys(map(ord, "0123456789"))
+
+
+def _read_canonical(text):
+    """The graph of ``text`` when it is spelled as ``write_graph`` writes it
+    and holds no error, by one pass per step that runs in C; None for any
+    other text, which read_graph's general path then reads or refuses."""
+    head = _CANONICAL_HEADER.match(text)
+    if head is None or not text.endswith("\n"):
+        return None
+    arity = 3 if head[4] == "W" else 2
+    body = text[head.end():]
+    lines = body.count("\n")
+    # With its digits deleted, the body must be each line's single spaces and
+    # newline.  A regular expression repeated once per line costs a
+    # backtracking frame per line: 1.9 MB of peak RSS at 10,000 lines.
+    if body.translate(_DIGITS) != (" " * (arity - 1) + "\n") * lines:
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+        ints = list(map(int, body.split()))
+    except ValueError:
+        # A number longer than int() converts, which the general path names.
+        return None
+    # One number per separator, and the body ends in one, so no number is
+    # empty: no line starts with a space and no separator doubles up.
+    us, vs = ints[0::arity], ints[1::arity]
+    if m != lines or len(ints) != arity * m or max(chain(us, vs), default=-1) >= n:
+        return None
+    # Digits alone spell no negative weight; self-loops are dropped, as Graph
+    # drops them.
+    arcs = zip(us, vs, ints[2::3] if arity == 3 else repeat(1))
+    return Graph._trusted(n, list(compress(arcs, map(ne, us, vs))), head[3] == "U")
 
 
 def _check_edge_lines(raws, lines, arity):

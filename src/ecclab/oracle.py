@@ -212,7 +212,8 @@ def _zero_groups(n, adj):
     component of the zero arcs that has a zero arc leaving it or more than
     one member, sinks first.  successors holds one member of each component
     a zero arc leads to."""
-    comp, dag = condense_scc(Graph(n, [(u, x, 0) for u in range(n) for x, w in adj[u] if w == 0]))
+    zero = Graph._trusted(n, [(u, x, 0) for u in range(n) for x, w in adj[u] if w == 0])
+    comp, dag = condense_scc(zero)
     members = [[] for _ in range(dag.n)]
     for v, c in enumerate(comp):
         members[c].append(v)

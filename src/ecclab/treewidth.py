@@ -472,7 +472,7 @@ def _side(g, td, keep, portals, fwd):
         if (p < q if g.undirected else p != q) and fwd[p][q] != INF
     ]
     bags = [frozenset(pos[v] for v in b if v in pos) for b in td.bags]
-    side = Graph(len(keep), edges, undirected=g.undirected)
+    side = Graph._trusted(len(keep), edges, g.undirected)
     return side, _normalize(TreeDecomposition(bags, td.tree))
 
 

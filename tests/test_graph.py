@@ -1,7 +1,8 @@
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     reference_read_graph,
     reference_read_td,
 )
+from ecclab import graph
 from ecclab.graph import (
     INF,
     BACKWARD,
@@ -43,6 +45,23 @@ def test_graph_rejects_bad_weights():
 def test_self_loops_dropped():
     g = Graph(3, [(0, 0), (0, 1)])
     assert g.m == 1
+
+
+@pytest.mark.parametrize("g, unit, heaviest", [
+    (Graph(0), True, 1),
+    (Graph(3), True, 1),
+    (Graph(3, [(0, 1, 0)]), False, 0),
+    (Graph(3, [(0, 1, 1), (1, 2, 0)], undirected=True), False, 1),
+    (Graph(3, [(0, 1), (1, 2), (2, 0)]), True, 1),
+    (Graph._trusted(4, [(0, 1, 3), (1, 2, 1), (3, 0, 0)]), False, 3),
+    (Graph._trusted(4, [(0, 1, 1), (2, 3, 1)], True), True, 1),
+], ids=["empty", "no-edges", "zero-arc", "zero-and-one", "unit", "trusted-weighted",
+        "trusted-unit"])
+def test_weight_views(g, unit, heaviest):
+    assert g.unit_weights is unit and g.max_weight == heaviest
+    # The plain loops the views replaced.
+    assert unit == all(w == 1 for _, _, w in g.edges)
+    assert heaviest == max((w for _, _, w in g.edges), default=1)
 
 
 def test_shortest_paths_line():
@@ -154,7 +173,11 @@ def test_condense_scc_is_mutual_reachability(undirected):
 def test_graph_round_trip(seed, n, m, w):
     rng = random.Random(seed)
     g = random_digraph(rng, n, m, max_weight=w)
-    h = read_graph(write_graph(g))
+    # What write_graph writes is read by the fast path, which runs none of
+    # Graph's per-edge checks.
+    text = write_graph(g)
+    with mock.patch.object(Graph, "__init__", side_effect=AssertionError):
+        h = read_graph(text)
     assert h.n == g.n and h.undirected == g.undirected
     assert sorted(h.edges) == sorted(g.edges)
     assert write_graph(h) == write_graph(g)
@@ -237,7 +260,7 @@ def test_read_graph_skips_comments_and_blank_lines():
 
 # Graph texts near the format: a header, then edge lines of small integers,
 # now and then a wrong arity, a stray token, a comment or a blank line.
-_EDGE_TOKENS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "1.5", "+2", "#"]))
+_EDGE_TOKENS = st.one_of(st.integers(-1, 4).map(str), st.sampled_from(["x", "1.5", "+2", "#", ""]))
 _GRAPH_TEXT = st.builds(
     lambda header, lines, end: "\n".join([header, *lines]) + end,
     st.builds("p {} {} {} {}".format, st.integers(-1, 4), st.integers(0, 5),
@@ -248,6 +271,18 @@ _GRAPH_TEXT = st.builds(
         st.sampled_from(["", "  ", "# note"]),
     ), max_size=6),
     st.sampled_from(["", "\n"]),
+) | st.builds(
+    # Texts in write_graph's spelling: its output for small graphs, with
+    # self-loops, vertex ids out of range where n < 5, weights of 0, now and
+    # then zero-padded numbers or no final newline.
+    lambda n, kind, weighted, arcs, spell, end: "\n".join(
+        [f"p {spell.format(n)} {spell.format(len(arcs))} {kind} {weighted}"]
+        + [" ".join(map(spell.format, arc[:2 if weighted == "1" else 3])) for arc in arcs]
+    ) + end,
+    st.integers(0, 6), st.sampled_from("DU"), st.sampled_from("W1"),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)), max_size=6),
+    st.sampled_from(["{}", "{}", "{:0>3}"]),
+    st.sampled_from(["\n", "\n", ""]),
 )
 
 
@@ -261,8 +296,24 @@ def _parsed(parse, text):
 
 @settings(max_examples=400, deadline=None)
 @given(_GRAPH_TEXT)
+# A number longer than Python's int() may convert (4,300 digits since 3.11).
+@example("p 3 1 U 1\n0 " + "1" * 5000 + "\n")
+# Separators in write_graph's order, but a line short of a number.
+@example("p 3 1 U 1\n 1\n2")
+@example("p 3 1 U 1\n 1\n")
+@example("p 3 1 U 1\n 0\n1 \n")
 def test_read_graph_matches_the_line_by_line_parser(text):
-    assert _parsed(read_graph, text) == _parsed(reference_read_graph, text)
+    expected = _parsed(reference_read_graph, text)
+    assert _parsed(read_graph, text) == expected
+    # The general path alone, on the texts the fast path takes as well.
+    with mock.patch.object(graph, "_read_canonical", return_value=None):
+        assert _parsed(read_graph, text) == expected
+    fast = graph._read_canonical(text)
+    if fast is not None:
+        assert (fast.n, fast.undirected, fast.edges) == expected
+    elif not isinstance(expected, str):
+        # Every text write_graph writes takes the fast path.
+        assert text != write_graph(reference_read_graph(text))
 
 
 # A path of three vertices: bags {0, 1} and {1, 2} joined by one tree edge.
