@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 
@@ -464,6 +465,11 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize others.
         return exc.code if exc.code in (0, USAGE_ERROR) else USAGE_ERROR
+    # No command builds a reference cycle (tests/test_cli.py checks that each
+    # leaves no garbage), so the cyclic collector only costs time here: a
+    # graph's edge tuples alone set off hundreds of its passes.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (SystemExit2, GraphFormatError, VariantError, DecompositionError, OSError) as exc:
@@ -472,6 +478,9 @@ def main(argv=None):
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAPACITY_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ above its base cases.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -139,18 +138,24 @@ class EccentricityReport:
     witness: "tuple[int, int] | None"
 
     def to_json(self):
-        def enc(x):
-            return "inf" if x == INF else x
+        """The report as JSON: byte-equal to ``json.dumps(payload,
+        sort_keys=True, indent=2)`` and a newline, where payload maps each
+        field to its value, INF spelled "inf" and the witness a list or None.
+        The text is written directly, since with ``indent`` ``json.dumps``
+        runs its pure-Python encoder."""
+        def array(values):
+            # Never empty: a report has n >= 1 entries.  str(INF) is "inf",
+            # which no integer's digits contain.
+            items = ",\n    ".join(map(str, values)).replace("inf", '"inf"')
+            return f"[\n    {items}\n  ]"
 
-        payload = {
-            "variant": self.variant,
-            "radius": enc(self.radius),
-            "diameter": enc(self.diameter),
-            "center": self.center,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "ecc": [enc(e) for e in self.ecc],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        def enc(x):
+            return '"inf"' if x == INF else str(x)
+
+        witness = "null" if self.witness is None else array(self.witness)
+        return (f'{{\n  "center": {self.center},\n  "diameter": {enc(self.diameter)},\n'
+                f'  "ecc": {array(self.ecc)},\n  "radius": {enc(self.radius)},\n'
+                f'  "variant": "{self.variant}",\n  "witness": {witness}\n}}\n')
 
     def to_tsv(self):
         lines = ["vertex\tecc"]

@@ -1,3 +1,4 @@
+import gc
 import json
 from argparse import Namespace
 
@@ -6,8 +7,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_flags, floyd_warshall, reference_report
-from ecclab import oracle, treewidth
-from ecclab.cli import GADGET_KINDS, QUANTITIES, SHARED_FLAGS, SystemExit2, _read_sidecar, main
+from ecclab import cli, oracle, treewidth
+from ecclab.cli import (
+    APPROX_ALGORITHMS,
+    GADGET_KINDS,
+    QUANTITIES,
+    SHARED_FLAGS,
+    SystemExit2,
+    _read_sidecar,
+    build_parser,
+    main,
+)
 from ecclab.gadgets import GadgetError
 from ecclab.graph import Graph, write_graph
 from ecclab.oracle import VARIANTS, sweep_ecc
@@ -135,6 +145,86 @@ def test_capacity_cap_exit_code(tmp_path, capsys):
     code, _, err = run(
         ["exact", "--input", prefix + ".graph", "--cap", "10"], capsys)
     assert code == 3
+
+
+def _garbage_after(argv):
+    """main's exit code on argv, and the number of unreachable objects the
+    call left, counted with the cyclic collector off throughout."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code = main(argv)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# The gadget each verify quantity is checked on.
+GC_GADGETS = {"radius": "radius-23", "diameter": "undirected-diameter-23",
+              "eccentricities": "all-eccentricities", "median": "median"}
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
+    # main pauses the cyclic collector while a command runs, which is safe
+    # only while no command builds a reference cycle.
+    monkeypatch.chdir(tmp_path)
+    build_parser()  # Built once, before the pause; its argparse formatters are garbage.
+    gens = [["gen", "--kind", "partial-ktree", "--n", "30", "--k", "2", "--seed", "1",
+             "--output", "kt"],
+            ["gen", "--kind", "partial-ktree", "--n", "30", "--k", "2", "--seed", "2",
+             "--directed", "--output", "dkt"],
+            ["gen", "--kind", "dg", "--size", "4", "--output", "dg"]]
+    for argv in gens:
+        assert _garbage_after(argv) == (0, 0), argv
+    # A gadget's sidecar is written by json.dumps(..., indent=2), whose
+    # pure-Python encoder leaves its own closures as garbage, and nothing else.
+    gc.collect()
+    json.dumps({"a": [1]}, sort_keys=True, indent=2)
+    encoder_garbage = gc.collect()
+    for kind in [*GC_GADGETS.values(), "min-diameter-dag", "min-radius-dag"]:
+        argv = ["gen", "--kind", kind, "--na", "4", "--nb", "4", "--d", "3", "--seed", "1",
+                "--output", kind]
+        assert _garbage_after(argv) == (0, encoder_garbage), argv
+    commands = [
+        ["exact", "--input", "kt.graph", "--format", "json"],
+        ["exact", "--input", "kt.graph", "--quantity", "median", "--format", "json"],
+        ["tw", "--input", "kt.graph", "--format", "json"],
+        ["tw", "--input", "kt.graph", "--td", "kt.td", "--format", "json"],
+        *(["verify", "--input", f"{kind}.graph", "--sidecar", f"{kind}.json"]
+          for kind in GC_GADGETS.values()),
+        *(["approx", "--input", f"{alg}.graph" if alg.endswith("-dag") else "dkt.graph",
+           "--algorithm", alg, "--format", "json"] for alg in APPROX_ALGORITHMS),
+        ["reduce", "--input", "undirected-diameter-23.graph", "--target", "diameter"],
+        ["reduce", "--input", "radius-23.graph", "--target", "radius"],
+    ]
+    for argv in commands:
+        assert _garbage_after(argv) == (0, 0), argv
+    printed = capsys.readouterr().out
+    assert printed.count("PASS") == len(GC_GADGETS)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, enabled):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.graph").write_text(PATH3)
+    # The command itself runs with the collector off.
+    during = []
+    read_graph = cli.read_graph
+    monkeypatch.setattr(cli, "read_graph",
+                        lambda text: during.append(gc.isenabled()) or read_graph(text))
+    was = gc.isenabled()
+    try:
+        for argv, code in [(["exact", "--input", "p.graph"], 0),
+                           (["exact", "--input", "missing.graph"], 2),
+                           (["exact", "--input", "p.graph", "--cap", "1"], 3)]:
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_gen_output_help_names_the_prefix(capsys):

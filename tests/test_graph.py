@@ -40,6 +40,11 @@ def test_graph_rejects_bad_weights():
         Graph(2, [(0, 1, -1)])
     with pytest.raises(GraphFormatError):
         Graph(2, [(0, 1, 1.5)])
+    # bool is an int subclass, but write_graph would spell it True or False.
+    with pytest.raises(GraphFormatError, match="^edge weight must be a nonnegative int, got True$"):
+        Graph(2, [(0, 1, True)])
+    with pytest.raises(GraphFormatError, match="got False$"):
+        Graph(2, [(0, 1, False)])
 
 
 def test_self_loops_dropped():
@@ -302,6 +307,12 @@ def _parsed(parse, text):
 @example("p 3 1 U 1\n 1\n2")
 @example("p 3 1 U 1\n 1\n")
 @example("p 3 1 U 1\n 0\n1 \n")
+# A weight on either side of the int-conversion limit, which JSON shares.
+@example("p 2 1 D W\n0 1 " + "9" * 4300 + "\n")
+@example("p 2 1 D W\n0 1 " + "9" * 4301 + "\n")
+# JSON refuses a leading zero; the general path reads 00 as 0.
+@example("p 2 2 D 1\n00 1\n1 0\n")
+@example("p 2 1 D W\n1 0 0\n")
 def test_read_graph_matches_the_line_by_line_parser(text):
     expected = _parsed(reference_read_graph, text)
     assert _parsed(read_graph, text) == expected

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -156,6 +157,41 @@ REPORT_CASES = [
 def test_report_matches_reference_report_cases(g):
     for variant in _variants(g):
         assert exact_eccentricities(g, variant).to_json() == reference_report(g, variant).to_json()
+
+
+def _json_dumps_of(report):
+    """What to_json once returned: json.dumps of the payload, indented."""
+    def enc(x):
+        return "inf" if x == INF else x
+
+    payload = {
+        "variant": report.variant,
+        "radius": enc(report.radius),
+        "diameter": enc(report.diameter),
+        "center": report.center,
+        "witness": list(report.witness) if report.witness is not None else None,
+        "ecc": [enc(e) for e in report.ecc],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("g", [
+    # n = 1: the witness is None.
+    Graph(1, []),
+    Graph(1, [], undirected=True),
+    # Two components: the radius, the diameter and every entry are INF.
+    Graph(5, [(0, 1), (2, 3), (3, 4)], undirected=True),
+    # Only vertex 0 reaches every vertex: INF entries, finite radius.
+    Graph(3, [(0, 1, 7), (1, 2, 5)]),
+    # Multi-digit values, center and witness: a weighted path of 12 vertices.
+    Graph(12, [(i, i + 1, 1000 + i) for i in range(11)], undirected=True),
+    Graph(12, [(i, (i + 1) % 12, 10 ** 12 + i) for i in range(12)]),
+], ids=["one-vertex", "one-vertex-undirected", "disconnected", "inf-entries",
+        "multi-digit-path", "multi-digit-cycle"])
+def test_to_json_is_byte_equal_to_json_dumps(g):
+    for variant in _variants(g):
+        report = exact_eccentricities(g, variant)
+        assert report.to_json() == _json_dumps_of(report)
 
 
 def test_witness_edge_cases():

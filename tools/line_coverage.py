@@ -61,18 +61,25 @@ def main(argv):
     sys.path.insert(0, os.path.join(ROOT, "src"))
     prefix = PACKAGE + os.sep
     ran = {}
+    # One local trace function per file, kept here: a closure that returns
+    # itself is a reference cycle, and one made per frame would be garbage
+    # that tests counting unreachable objects would see.
+    local_tracers = {}
 
     def tracer(frame, event, arg):
         filename = frame.f_code.co_filename
         if not filename.startswith(prefix):
             return None
-        lines = ran.setdefault(filename, set())
+        local = local_tracers.get(filename)
+        if local is None:
+            lines = ran.setdefault(filename, set())
 
-        def local(frame, event, arg):
-            if event == "line":
-                lines.add(frame.f_lineno)
-            return local
+            def local(frame, event, arg):
+                if event == "line":
+                    lines.add(frame.f_lineno)
+                return local
 
+            local_tracers[filename] = local
         return local
 
     threading.settrace(tracer)
