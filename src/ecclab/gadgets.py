@@ -84,7 +84,28 @@ class GadgetOutput:
                 "bags": [sorted(b) for b in self.pathwidth_witness.bags],
                 "tree": [list(e) for e in self.pathwidth_witness.tree],
             }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _indented_json(payload) + "\n"
+
+
+def _indented_json(value, depth=0):
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a sidecar's values:
+    dicts with string keys, lists, tuples and JSON scalars, ``depth`` levels
+    in.  The text is written directly, since with ``indent`` ``json.dumps``
+    runs its pure-Python encoder, whose closures are left as cyclic garbage."""
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}"
+                 for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        # Most items are vertex ids: str() spells an int as json.dumps does.
+        items = [str(v) if type(v) is int else _indented_json(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def reduce_hse(inst):

@@ -19,7 +19,9 @@ source, entry v of level t holds the sources within pair distance t of v
 (the sweep over the reversed arcs, joined for max by AND and for min by OR
 with the one over the forward arcs), and the eccentricity of source u is
 the first level at which bit u is in every joined mask.  ``sweep_ecc`` and
-``sweep_eccentricities`` seed it at every vertex; ``sampled_ecc`` seeds it
+``sweep_eccentricities`` seed it at every vertex, where max on a directed
+graph needs the forward sweep alone: its rows are the out-balls and its
+columns the in-balls (Then et al., VLDB 2014).  ``sampled_ecc`` seeds it
 at the samples of ``approx`` and returns their eccentricities alone, each
 from one shortest-path run each way where the sweep gives up.
 ``sweep_median`` runs the sweep over the forward arcs from every vertex and
@@ -34,11 +36,15 @@ is the first r at which OR over t of F_t[u] & B_{r-t}[u] is full.
 Both sweeps are generators that yield once per level, so one level loop
 serves two readers: ``sweep_ecc`` runs it to the last level, and
 ``sweep_radius`` stops it at the first level at which some eccentricity is
-found, which is the radius.  Neither computes a witness pair; that takes
-``eccentricity_report``, one shortest-path run each way.
+found, which is the radius.  The report's witness pair needs no search
+either: ``sweep_ecc`` reads it from the level before the diameter, which
+holds each vertex's pair distances below it (see ``_witness``).
+``eccentricity_report`` finds it by one shortest-path run each way for the
+eccentricities of other paths.
 
 The sweep holds the last W + 1 levels, where W is the largest arc weight:
-(W + 1) n k / 8 bytes for k sources, twice that for max and min; the
+(W + 1) n k / 8 bytes for k sources, twice that for min, and for max from
+sampled sources; the
 roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
 ``ROUNDTRIP_MAX_LEVELS``.  It returns None, for the caller to fall back to
 a matrix or row-by-row path, when W exceeds ``SWEEP_MAX_WEIGHT``, past the
@@ -79,11 +85,12 @@ VARIANTS = (UNDIRECTED, SOURCE, MAX, MIN, ROUNDTRIP)
 DEFAULT_CAP = 5000
 
 # Largest arc weight the level sweep takes, for its memory: it holds W + 1
-# levels of n^2 bits per direction, 2 (W + 1) bits per vertex pair for max
-# and min, where the matrix path holds one 64-bit reference per pair.  On a
-# directed 3-tree of 3,000 vertices under max, the sweep peaked at 51 MB for
-# W = 16 and 92 MB for W = 31, the matrix path at 69 MB.  Time is bounded
-# separately, by the work budget of ``sweep_source_ecc``.
+# levels of n^2 bits per direction, 2 (W + 1) bits per vertex pair for min,
+# where the matrix path holds one 64-bit reference per pair.  On a directed
+# 3-tree of 3,000 vertices with both arcs of every edge, weights 1..W, the
+# min sweep peaked at 73 MB for W = 16 and 114 MB for W = 31, the matrix
+# path at 93 MB (ru_maxrss, Python 3.11); max, one sweep, at 48 and 69 MB.
+# Time is bounded separately, by the work budget of ``sweep_source_ecc``.
 SWEEP_MAX_WEIGHT = 16
 
 
@@ -164,23 +171,28 @@ class EccentricityReport:
         return "\n".join(lines) + "\n"
 
 
-def _report(variant, ecc, rows):
-    """The report of ``ecc``.  Ties for the center break toward the smallest
-    vertex id; the witness is the lexicographically smallest pair (u, v),
-    u != v, attaining the diameter.  rows(u) gives u's out-row d(u -> .) and
-    in-row d(. -> u)."""
-    radius, diameter = min(ecc), max(ecc)
-    witness = None
-    if len(ecc) > 1:
-        # A pair attaining the diameter starts at a vertex whose eccentricity
-        # is the diameter, so the first such vertex holds the smallest pair.
-        u = ecc.index(diameter)
-        row = list(pair_row(variant, *rows(u)))
-        v = row.index(diameter)
-        if v == u:
-            v = row.index(diameter, u + 1)
-        witness = (u, v)
-    return EccentricityReport(variant, list(ecc), radius, diameter, ecc.index(radius), witness)
+def _report(variant, ecc, witness):
+    """The report of ``ecc`` with ``witness``; ties for the center break
+    toward the smallest vertex id."""
+    radius = min(ecc)
+    return EccentricityReport(variant, list(ecc), radius, max(ecc), ecc.index(radius), witness)
+
+
+def _search_witness(variant, ecc, rows):
+    """The witness of a report of ``ecc``: the lexicographically smallest pair
+    (u, v), u != v, attaining the diameter, None for a single vertex.
+    rows(u) gives u's out-row d(u -> .) and in-row d(. -> u)."""
+    if len(ecc) < 2:
+        return None
+    # A pair attaining the diameter starts at a vertex whose eccentricity is
+    # the diameter, so the first such vertex holds the smallest pair.
+    diameter = max(ecc)
+    u = ecc.index(diameter)
+    row = list(pair_row(variant, *rows(u)))
+    v = row.index(diameter)
+    if v == u:
+        v = row.index(diameter, u + 1)
+    return u, v
 
 
 def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
@@ -197,7 +209,8 @@ def exact_eccentricities(g, variant, cap=DEFAULT_CAP):
     else:
         # zip(*mat) yields the columns one at a time: column u holds d(v -> u).
         ecc = [max(pair_row(variant, row, col)) for row, col in zip(mat, zip(*mat))]
-    return _report(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
+    witness = _search_witness(variant, ecc, lambda u: (mat[u], [r[u] for r in mat]))
+    return _report(variant, ecc, witness)
 
 
 def exact_median(g, cap=DEFAULT_CAP):
@@ -211,14 +224,13 @@ def exact_median(g, cap=DEFAULT_CAP):
     return (sums.index(best) if sums else 0), best
 
 
-def _zero_groups(n, adj):
-    """The closure of a level over the zero-weight arcs of adj, as steps
-    (members, successors) in the order they run: one per strongly connected
-    component of the zero arcs that has a zero arc leaving it or more than
-    one member, sinks first.  successors holds one member of each component
-    a zero arc leads to."""
-    zero = Graph._trusted(n, [(u, x, 0) for u in range(n) for x, w in adj[u] if w == 0])
-    comp, dag = condense_scc(zero)
+def _zero_groups(n, zero):
+    """The closure of a level over the zero-weight arcs ``zero``, (u, x, 0)
+    for u reads x, as steps (members, successors) in the order they run: one
+    per strongly connected component of the zero arcs that has a zero arc
+    leaving it or more than one member, sinks first.  successors holds one
+    member of each component a zero arc leads to."""
+    comp, dag = condense_scc(Graph._trusted(n, zero))
     members = [[] for _ in range(dag.n)]
     for v, c in enumerate(comp):
         members[c].append(v)
@@ -230,36 +242,81 @@ def _zero_groups(n, adj):
     return steps
 
 
-def _levels(g, adj, weight, start=None):
+def _reads(g, direction):
+    """The read table of a level step along the arcs u -> x of g (FORWARD)
+    or x -> u (BACKWARD), and its zero-weight arcs (u, x, 0): entry u reads
+    x, at unit weights, and else (w - 1) n + x for each arc of weight w > 0,
+    which is entry x of F_{t-w} in the last W levels laid end to end.  It is
+    read from g's adjacency where a search built that already, and else
+    from g.edges, so a sweep builds no adjacency list."""
+    n = g.n
+    adj = vars(g).get("adj_out" if direction == FORWARD or g.undirected else "adj_in")
+    if adj is not None:
+        # Built by approx, the roundtrip guard or a split, and grouped by
+        # vertex as the table is: reading it took 11 ms on the directed
+        # 3-tree of _edge_reads, grouping the edges again 15.
+        if g.unit_weights:
+            return [[x for x, _ in arcs] for arcs in adj], []
+        zero = [(u, x, 0) for u, arcs in enumerate(adj) for x, w in arcs if not w]
+        return [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj], zero
+    if not g.undirected:
+        return _edge_reads(g, direction == BACKWARD)
+    (out, zero_out), (inc, zero_in) = _edge_reads(g, False), _edge_reads(g, True)
+    return list(map(add, out, inc)), zero_out + zero_in
+
+
+def _edge_reads(g, backward):
+    """``_reads`` from the edges (u, x, w) of g as arcs u -> x, or as arcs
+    x -> u if ``backward``."""
+    n = g.n
+    reads = [[] for _ in range(n)]
+    # A read table of its own for unit weights: the one weighted table for
+    # both kinds made sweeps of six benchmark gadgets plus a 700-vertex
+    # 2-tree take 10.9-11.3 ms against 10.0-10.4 ms (best of 7, three runs).
+    if g.unit_weights:
+        if backward:
+            for x, u, _ in g.edges:
+                reads[u].append(x)
+        else:
+            for u, x, _ in g.edges:
+                reads[u].append(x)
+        return reads, []
+    # Each entry is a new int, made here in vertex order, the order a level
+    # reads them in, from the edges grouped by the vertex that reads them.
+    # Made in edge order instead, they made the sampled sweep of a directed
+    # 3-tree of 12,800 vertices (weights 1..3) 18% slower.
+    if backward:
+        for e in g.edges:
+            reads[e[1]].append(e)
+        zero = [(x, u, 0) for u, x, w in g.edges if not w]
+        return [[(w - 1) * n + x for x, _, w in r if w] for r in reads], zero
+    for e in g.edges:
+        reads[e[0]].append(e)
+    zero = [e for e in g.edges if not e[2]]
+    return [[(w - 1) * n + x for _, x, w in r if w] for r in reads], zero
+
+
+def _levels(g, direction, weight, start=None):
     """Yield (F_t, settled) for t = 0, 1, 2, ...
 
     F_0 is ``start`` closed over the zero-weight arcs, and F_t[u] =
     F_{t-1}[u] | OR over arcs (u -> x, w) of F_{t-w}[x], closed the same
-    way.  With the default start, F_0[v] = 1 << v, F_t[u] is the bitmask of
-    the v with d(u -> v) <= t along the arcs of adj, one of g's two
-    adjacencies (bit v set).  A mask equal to the OR of the start masks is
-    full and takes no more ORs.  settled is true once ``weight`` levels in a
-    row brought no change: a level reads only the last ``weight`` ones, so no
-    later level changes either, and every later item is the same.  Stopping
-    at the first unchanged level would be wrong when an arc of weight w > 1
-    has yet to bring in F_{t-w}.
+    way, the arcs taken in ``direction`` (see ``_reads``).  With the default
+    start, F_0[v] = 1 << v, F_t[u] is the bitmask of the v with d(u -> v)
+    <= t along those arcs (bit v set).  A mask equal to the OR of the start
+    masks is full and takes no more ORs.  settled is true once ``weight``
+    levels in a row brought no change: a level reads only the last
+    ``weight`` ones, so no later level changes either, and every later item
+    is the same.  Stopping at the first unchanged level would be wrong when
+    an arc of weight w > 1 has yet to bring in F_{t-w}.
     """
     n = g.n
     if start is None:
         start = [1 << u for u in range(n)]
     full = reduce(or_, start, 0)
-    # A read table of its own for unit weights: the one weighted table for
-    # both kinds made sweeps of six benchmark gadgets plus a 700-vertex
-    # 2-tree take 10.9-11.3 ms against 10.0-10.4 ms (best of 7, three runs).
-    if g.unit_weights:
-        reads = [[x for x, _ in arcs] for arcs in adj]
-        zero = []
-    else:
-        # Arc (u -> x, w > 0) reads entry x of F_{t-w}, which sits at
-        # (w - 1) n + x in the last `weight` levels laid end to end.
-        reads = [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj]
-        # Only the zero-weight arcs are missing from reads.
-        zero = _zero_groups(n, adj) if sum(map(len, reads)) < sum(map(len, adj)) else []
+    reads, zero = _reads(g, direction)
+    if zero:
+        zero = _zero_groups(n, zero)
 
     def close(level):
         get = level.__getitem__
@@ -300,13 +357,15 @@ def _sweep_setup(g, budget, rows):
     return weight, rows * g.n // 4 if budget is None else budget
 
 
-def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None):
+def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None, found=None):
     """The eccentricities of ``exact_eccentricities`` from the level sweep,
     or None where ``sweep_source_ecc`` seeded at every vertex is None, or,
-    for ``roundtrip``, where ``_roundtrip_sweep`` gives up."""
+    for ``roundtrip``, where ``_roundtrip_sweep`` gives up.  Where the sweep
+    answers and ``found`` is a list, the report's witness pair is appended
+    to it, read from the sweep's own levels (see ``_witness``)."""
     ecc = [INF] * g.n
     # The sweep runs to its last level unless it yields None, giving up.
-    return None if None in _sweep(g, variant, cap, budget, ecc) else ecc
+    return None if None in _sweep(g, variant, cap, budget, ecc, found) else ecc
 
 
 def sweep_radius(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -322,14 +381,15 @@ def sweep_radius(g, variant, cap=DEFAULT_CAP, budget=None):
     return INF
 
 
-def _sweep(g, variant, cap, budget, ecc):
+def _sweep(g, variant, cap, budget, ecc, found=None):
     """The sweep of ``sweep_ecc`` with every vertex a source, as a generator
-    that fills in ecc; see ``_source_sweep``."""
+    that fills in ecc, and ``found`` as ``sweep_ecc`` does; see
+    ``_source_sweep``."""
     check_variant(g, variant)
     _check_cap(g, cap)
     if variant == ROUNDTRIP:
-        return _roundtrip_sweep(g, budget, ecc)
-    return _source_sweep(g, variant, range(g.n), budget, ecc)
+        return _roundtrip_sweep(g, budget, ecc, found)
+    return _source_sweep(g, variant, range(g.n), budget, ecc, found)
 
 
 def _fill(pending, masks, full, ecc, t):
@@ -343,6 +403,27 @@ def _fill(pending, masks, full, ecc, t):
     return left
 
 
+def _witness(ecc, masks, row, column):
+    """The witness of ``_search_witness`` from a sweep that filled in ecc: u
+    is the first vertex whose eccentricity is the diameter D, and v the
+    lowest vertex other than u missing from u's joined set in ``masks``, the
+    sweep's level D - 1, where the v at pair distance D from u are missing,
+    or its settled level when D is INF.  masks None is level -1, where every
+    v is missing.  The joined set is row u (mask u) if ``row``, column u
+    (the v whose mask holds bit u) if ``column``, and the v in both if both."""
+    if len(ecc) < 2:
+        return None
+    u = ecc.index(max(ecc))
+    near = 1 << u
+    if masks is not None:
+        joined = masks[u] if row else -1
+        if column:
+            joined &= int("".join([str(m >> u & 1) for m in reversed(masks)]), 2)
+        near |= joined
+    # The lowest bit clear in near.
+    return u, (~near & (near + 1)).bit_length() - 1
+
+
 # Most levels the roundtrip sweep keeps, over both directions: 64 levels of
 # n^2 bits take the 8 bytes per vertex pair of the matrix path.  Each mask
 # is an int object of about 36 bytes more, which counts at small n: on
@@ -354,12 +435,12 @@ def _fill(pending, masks, full, ecc, t):
 ROUNDTRIP_MAX_LEVELS = 64
 
 
-def _kept_levels(g, adj, weight):
+def _kept_levels(g, direction, weight):
     """Yield, for t = 0, 1, 2, ..., the levels [F_0, ..., F_t] of
-    ``_levels(g, adj, weight)`` until they settle, and from then on
+    ``_levels(g, direction, weight)`` until they settle, and from then on
     [F_0, ..., F_L], L the last level that brought a change."""
     kept = []
-    for level, settled in _levels(g, adj, weight):
+    for level, settled in _levels(g, direction, weight):
         if settled:
             # The last `weight` levels kept equal F_L.
             del kept[len(kept) - weight + 1:]
@@ -369,13 +450,13 @@ def _kept_levels(g, adj, weight):
         yield kept
 
 
-def _roundtrip_sweep(g, budget, ecc):
-    """The roundtrip sweep, yielding and filling in ecc as ``_source_sweep``
-    does: roundtrip eccentricities from the levels F_t over the forward arcs and
-    B_t over the reversed ones, all kept: F_t[u] holds the v with
-    d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, so ecc(u) is the
-    first r at which OR over t of F_t[u] & B_{r-t}[u] is full.  Past the
-    guard below the graph is strongly connected, so with LF and LB the
+def _roundtrip_sweep(g, budget, ecc, found=None):
+    """The roundtrip sweep, yielding and filling in ecc and ``found`` as
+    ``_source_sweep`` does: roundtrip eccentricities from the levels F_t over
+    the forward arcs and B_t over the reversed ones, all kept: F_t[u] holds
+    the v with d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, so
+    ecc(u) is the first r at which OR over t of F_t[u] & B_{r-t}[u] is
+    full.  Past the guard below the graph is strongly connected, so with LF and LB the
     levels at which the two directions settle, every mask is full by
     r = LF + LB.
 
@@ -411,7 +492,10 @@ def _roundtrip_sweep(g, budget, ecc):
     out_row, in_row = _rows(g, ROUNDTRIP, 0)
     ecc0 = max(pair_row(ROUNDTRIP, out_row, in_row))
     if ecc0 == INF:
-        # Not strongly connected: every eccentricity stays INF.
+        # Not strongly connected: every eccentricity stays INF, and vertex
+        # 0's two rows hold the witness.
+        if found is not None:
+            found.append(_search_witness(ROUNDTRIP, ecc, lambda u: (out_row, in_row)))
         return
     # Each direction's levels change up to the largest one-way distance.
     last = max(max(out_row), max(in_row))
@@ -424,7 +508,8 @@ def _roundtrip_sweep(g, budget, ecc):
     full = (1 << n) - 1
     pending = range(n)
     work = 0
-    levels = zip(_kept_levels(g, g.adj_out, weight), _kept_levels(g, g.adj_in, weight))
+    prev = before = None
+    levels = zip(_kept_levels(g, FORWARD, weight), _kept_levels(g, BACKWARD, weight))
     for r, (fwd, bwd) in enumerate(levels):
         if len(fwd) + len(bwd) > ROUNDTRIP_MAX_LEVELS:
             yield None
@@ -436,9 +521,15 @@ def _roundtrip_sweep(g, budget, ecc):
         joined = map(and_, *next(terms))
         for f, b in terms:
             joined = map(or_, joined, map(and_, f, b))
-        pending = _fill(pending, list(joined), full, ecc, r)
+        joined = list(joined)
+        left = _fill(pending, joined, full, ecc, r)
+        if len(left) < len(pending):
+            before = prev
+        prev, pending = joined, left
         yield len(pending)
         if not pending:
+            if found is not None:
+                found.append(_witness(ecc, before, True, False))
             return
         work += n * (hi - lo + 1)
         if work > budget:
@@ -447,17 +538,21 @@ def _roundtrip_sweep(g, budget, ecc):
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
-    """The report of ``exact_eccentricities`` from ``sweep_ecc``, or None
-    where that is None."""
-    ecc = sweep_ecc(g, variant, cap, budget)
-    return None if ecc is None else eccentricity_report(g, variant, ecc)
+    """The report of ``exact_eccentricities`` from ``sweep_ecc``, witness
+    included, or None where that is None."""
+    found = []
+    ecc = sweep_ecc(g, variant, cap, budget, found)
+    return None if ecc is None else eccentricity_report(g, variant, ecc, found)
 
 
-def eccentricity_report(g, variant, ecc):
+def eccentricity_report(g, variant, ecc, found=()):
     """The report of ``exact_eccentricities`` from the eccentricities ``ecc``
-    of g.  The witness comes from one shortest-path run each way from the
-    first vertex whose eccentricity is the diameter."""
-    return _report(variant, ecc, lambda u: _rows(g, variant, u))
+    of g.  The witness is found[0] where ``found`` holds the one a sweep
+    gave (see ``sweep_ecc``), and else comes from one shortest-path run each
+    way from the first vertex whose eccentricity is the diameter."""
+    if found:
+        return _report(variant, ecc, found[0])
+    return _report(variant, ecc, _search_witness(variant, ecc, lambda u: _rows(g, variant, u)))
 
 
 def _rows(g, variant, u):
@@ -480,10 +575,12 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     d(v -> s_i) <= t.  Max joins the two by AND and min by OR, so an entry
     of the join holds the i whose pair distance to v is at most t.  ecc[i]
     is the first t at which bit i is set in every joined mask, and INF where
-    that never comes.
+    that never comes.  With every vertex a source, max on a directed graph
+    runs the sweep over the forward arcs alone (see ``_source_sweep``).
 
     The work is the number of masks found not full, summed over the levels;
-    a level does its ORs only for those.  The default budget is
+    a level does its ORs only for those, and in the one sweep of max over
+    every vertex, those are the rows not yet full.  The default budget is
     len(sources) * n / 4, a quarter of the len(sources) single-source runs
     of the reference, n^2 / 4 when every vertex is a source.  Measured with
     every vertex a source on paths, cycles, directed paths and chains of
@@ -506,12 +603,21 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     return None if None in _source_sweep(g, variant, sources, budget, ecc) else ecc
 
 
-def _source_sweep(g, variant, sources, budget, ecc):
+def _source_sweep(g, variant, sources, budget, ecc, found=None):
     """The level loop of ``sweep_source_ecc`` as a generator: after each
     level t it fills in the eccentricities found at t and yields how many
     are still unknown, and it stops after the last level.  Where the sweep
     gives up it yields None and stops.  A caller that needs only the first
-    levels stops taking items, and no later level is built."""
+    levels stops taking items, and no later level is built.  With every
+    vertex a source, ``found`` is filled in as ``sweep_ecc`` says.
+
+    With every vertex a source, max on a directed graph takes one sweep,
+    over the forward arcs from F_0[v] = 1 << v: mask u of level t is then
+    row u, the v with d(u -> v) <= t, and the masks holding bit u are column
+    u, the v with d(v -> u) <= t.  Row u fills at u's out-eccentricity, bit
+    u enters the AND of all masks at its in-eccentricity, and ecc[u] is the
+    later of the two levels.
+    """
     setup = _sweep_setup(g, budget, len(sources))
     if setup is None:
         yield None
@@ -522,37 +628,59 @@ def _source_sweep(g, variant, sources, budget, ecc):
     for i, s in enumerate(sources):
         start[s] = 1 << i
     full = (1 << len(sources)) - 1
-    levels = _levels(g, g.adj_in, weight, start)
+    every = sources == range(n)
+    rows = every and variant == MAX and not g.undirected
+    levels = _levels(g, FORWARD if rows else BACKWARD, weight, start)
     # On an undirected graph the sweeps over both arc directions are one.
-    if variant in (MAX, MIN) and not g.undirected:
+    if variant in (MAX, MIN) and not g.undirected and not rows:
         join = and_ if variant == MAX else or_
         levels = (
             (list(map(join, f, b)), f_settled and b_settled)
-            for (f, f_settled), (b, b_settled) in zip(levels, _levels(g, g.adj_out, weight, start))
+            for (f, f_settled), (b, b_settled) in zip(levels, _levels(g, FORWARD, weight, start))
         )
     # With every vertex a source and a symmetric join, mask v is also the
     # row of source v, so ecc[v] is the first level at which it is full.
-    by_row = sources == range(n) and (variant != SOURCE or g.undirected)
+    by_row = every and (variant == MIN or g.undirected)
     pending = range(n)
+    unknown = len(sources)
+    # The bits in every mask; under max over rows, also the rows that are
+    # full; and the bits of the eccentricities filled in.
     common = 0
+    filled = 0 if rows else full
+    known = 0
     work = 0
+    prev = before = None
     for t, (masks, settled) in enumerate(levels):
         if by_row:
             pending = _fill(pending, masks, full, ecc, t)
-            yield len(pending)
+            left = len(pending)
         else:
+            if rows:
+                for v in pending:
+                    if masks[v] == full:
+                        filled |= 1 << v
             pending = [v for v in pending if masks[v] != full]
             # Bits enter the AND of all masks for good, since masks only grow.
             new = full & ~common
             for v in pending:
                 new &= masks[v]
             common |= new
+            new = common & filled & ~known
+            known |= new
             while new:
                 low = new & -new
                 ecc[low.bit_length() - 1] = t
                 new ^= low
-            yield len(sources) - common.bit_count()
+            left = len(sources) - known.bit_count()
+        yield left
+        if found is not None:
+            # The masks of the level before the last one that filled any in.
+            if left < unknown:
+                before = prev
+            prev, unknown = masks, left
         if not pending or settled:
+            if found is not None:
+                found.append(_witness(ecc, masks if left else before, by_row or rows, not by_row))
             return
         work += len(pending)
         if work > budget:
@@ -586,7 +714,7 @@ def sweep_median(g, cap=DEFAULT_CAP, budget=None):
     sums = [0] * n
     pending = range(n)
     work = 0
-    for masks, settled in _levels(g, g.adj_out, weight):
+    for masks, settled in _levels(g, FORWARD, weight):
         pending = [u for u in pending if masks[u] != full]
         for u in pending:
             sums[u] += n - masks[u].bit_count()

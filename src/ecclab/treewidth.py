@@ -535,23 +535,28 @@ def _sweep_budget(g, width):
     return size * n.bit_length() // words
 
 
-def _solve(g, td, variant):
+def _solve(g, td, variant, found=None):
     """Eccentricities of g; td is a valid decomposition of g.
 
     A node of at most max(width**3, 16) vertices is a base case: the level
     sweep under its default budget, else the matrix path.  A larger node
     tries the sweep under _sweep_budget and splits when that gives up; only
     then is td normalised (a side's already is), which keeps its width.
+    Where the node does not split and ``found`` is a list, the witness pair
+    of g's report is appended to it, as the sweep or the matrix path gave it.
     """
     n = g.n
     base = n <= max(td.width ** 3, 16)
     budget = None if base else _sweep_budget(g, td.width)
     if base or budget is not None:
-        ecc = sweep_ecc(g, variant, None, budget)
+        ecc = sweep_ecc(g, variant, None, budget, found)
         if ecc is not None:
             return ecc
     if base:
-        return exact_eccentricities(g, variant, cap=None).ecc
+        report = exact_eccentricities(g, variant, cap=None)
+        if found is not None:
+            found.append(report.witness)
+        return report.ecc
     td = _normalize(td)
     split = find_portal_split(g, td)
     portals = sorted(split.portals)
@@ -574,17 +579,22 @@ def _solve(g, td, variant):
     return ecc
 
 
-def tw_ecc(g, td, variant):
-    """The eccentricities of tw_eccentricities alone, with no witness pair."""
+def tw_ecc(g, td, variant, found=None):
+    """The eccentricities of tw_eccentricities alone, and ``found`` as
+    _solve fills it in for the top node."""
     check_variant(g, variant)
     td.validate(g)
-    return _solve(g, td, variant)
+    return _solve(g, td, variant, found)
 
 
 def tw_eccentricities(g, td, variant):
     """Exact eccentricities using the tree decomposition.
 
     Matches the brute-force oracle on every input, witness included; the
-    decomposition only affects the running time.
+    decomposition only affects the running time.  The witness comes from the
+    top node's sweep or matrix path, and from eccentricity_report's
+    shortest-path runs only where the top node splits.
     """
-    return eccentricity_report(g, variant, tw_ecc(g, td, variant))
+    found = []
+    ecc = tw_ecc(g, td, variant, found)
+    return eccentricity_report(g, variant, ecc, found)

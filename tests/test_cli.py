@@ -19,7 +19,7 @@ from ecclab.cli import (
     main,
 )
 from ecclab.gadgets import GadgetError
-from ecclab.graph import Graph, write_graph
+from ecclab.graph import Graph, shortest_paths, write_graph
 from ecclab.oracle import VARIANTS, sweep_ecc
 from ecclab.seeds import substream
 from ecclab.setsystem import random_instance, solve_set_system
@@ -178,15 +178,10 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, monkeypatch, capsys):
             ["gen", "--kind", "dg", "--size", "4", "--output", "dg"]]
     for argv in gens:
         assert _garbage_after(argv) == (0, 0), argv
-    # A gadget's sidecar is written by json.dumps(..., indent=2), whose
-    # pure-Python encoder leaves its own closures as garbage, and nothing else.
-    gc.collect()
-    json.dumps({"a": [1]}, sort_keys=True, indent=2)
-    encoder_garbage = gc.collect()
-    for kind in [*GC_GADGETS.values(), "min-diameter-dag", "min-radius-dag"]:
+    for kind in [*GC_GADGETS.values(), "min-diameter-dag", "min-radius-dag", "roundtrip-radius"]:
         argv = ["gen", "--kind", kind, "--na", "4", "--nb", "4", "--d", "3", "--seed", "1",
                 "--output", kind]
-        assert _garbage_after(argv) == (0, encoder_garbage), argv
+        assert _garbage_after(argv) == (0, 0), argv
     commands = [
         ["exact", "--input", "kt.graph", "--format", "json"],
         ["exact", "--input", "kt.graph", "--quantity", "median", "--format", "json"],
@@ -644,6 +639,50 @@ def test_verify_with_td_computes_no_witness(tmp_path, monkeypatch, capsys, quant
                             "--sidecar", str(tmp_path / "g.json"), "--td", str(tmp_path / "g.td")],
                            capsys)
     assert (code, printed) == (0, f"PASS {quantity} eq {value}, computed {value}\n")
+
+
+def _searches(monkeypatch, allowed):
+    """Patch every shortest_paths the solvers call to count its calls, and
+    to raise past ``allowed`` of them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        if len(calls) > allowed:
+            raise AssertionError("shortest_paths called")
+        return shortest_paths(*args)
+
+    monkeypatch.setattr(oracle, "shortest_paths", counted)
+    monkeypatch.setattr(treewidth, "shortest_paths", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweep_answered_reports_run_no_search(tmp_path, monkeypatch, capsys, variant):
+    # exact and tw --td read the witness pair from the sweep's levels, so a
+    # graph the sweep answers takes no shortest-path run, but for the two of
+    # the roundtrip guard.  The directed graph has both arcs of every edge of
+    # a 3-tree, weighted 1..2 each; under roundtrip a second one drops the
+    # arcs out of vertex 0, and the witness comes from the guard's rows.
+    monkeypatch.chdir(tmp_path)
+    rng = substream(8, "no-search")
+    g, td = generate_partial_ktree(60, 3, 1.0, rng, max_weight=2)
+    graphs = [g]
+    if variant != "undirected":
+        arcs = [(x, y, rng.randint(1, 2)) for u, v, _ in g.edges for x, y in ((u, v), (v, u))]
+        graphs = [Graph(g.n, arcs)]
+    if variant == "roundtrip":
+        graphs.append(Graph(g.n, [a for a in arcs if a[0] != 0]))
+    (tmp_path / "g.td").write_text(write_td(td, g.n))
+    for h in graphs:
+        (tmp_path / "g.graph").write_text(write_graph(h))
+        want = reference_report(h, variant).to_json()
+        for argv in (["exact"], ["tw", "--td", "g.td"]):
+            calls = _searches(monkeypatch, 2 if variant == "roundtrip" else 0)
+            code, printed, _ = run([*argv, "--input", "g.graph", "--variant", variant,
+                                    "--format", "json"], capsys)
+            assert (code, printed) == (0, want), argv
+            assert calls == ([(0, "forward"), (0, "backward")] if variant == "roundtrip" else [])
 
 
 def test_tw_refuses_a_decomposition_with_no_bags(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from argparse import Namespace
 import pytest
 
 from conftest import reference_median_preprocess
+from ecclab import gadgets
 from ecclab.cli import GADGET_KINDS
 from ecclab.gadgets import (
     GadgetError,
@@ -133,6 +134,41 @@ def test_gadget_dag_flag_and_sidecar(name, build, mode):
         assert payload["yes_value"] == out.yes_value
         assert payload["no_bound"] == out.no_bound
         assert payload["is_dag"] == out.is_dag
+
+
+@pytest.mark.parametrize("name,build,mode", ALL_GADGETS, ids=[g[0] for g in ALL_GADGETS])
+def test_sidecar_json_is_json_dumps_with_indent(name, build, mode, monkeypatch):
+    # The sidecar's text is written directly; it must be json.dumps's, byte for
+    # byte, for the payload to_sidecar_json builds.
+    payloads = []
+    plain = gadgets._indented_json
+
+    def recorded(value, depth=0):
+        if depth == 0:
+            payloads.append(value)
+        return plain(value, depth)
+
+    monkeypatch.setattr(gadgets, "_indented_json", recorded)
+    rng = substream(29, f"sidecar:{name}")
+    built = 0
+    while built < 8:
+        inst = random_instance(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4), mode, rng)
+        try:
+            out = build(inst, rng)
+        except GadgetError:
+            continue
+        text = out.to_sidecar_json()
+        assert text == json.dumps(payloads[-1], sort_keys=True, indent=2) + "\n"
+        assert ("pathwidth_witness" in payloads[-1]) == (out.pathwidth_witness is not None)
+        built += 1
+    if name in ("radius-23", "roundtrip-radius"):
+        assert "pathwidth_witness" in payloads[-1]
+
+
+def test_indented_json_matches_json_dumps():
+    for value in ({}, [], {"b": [], "a": {}, "c": [1, [2, (3,)], {"z": None, "y": True}]},
+                  {"f": INF, "g": -1.5, "h": False, "\u00e9\"q": "\n\u00e9"}, [[]], 7, "s"):
+        assert gadgets._indented_json(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def validate_path_decomposition(g, td):

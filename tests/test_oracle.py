@@ -16,13 +16,14 @@ from conftest import (
     variant_pair,
 )
 from ecclab import oracle
-from ecclab.graph import INF, Graph
+from ecclab.graph import BACKWARD, FORWARD, INF, Graph
 from ecclab.oracle import (
     ROUNDTRIP_MAX_LEVELS,
     SWEEP_MAX_WEIGHT,
     VARIANTS,
     CapacityError,
     VariantError,
+    eccentricity_report,
     exact_eccentricities,
     exact_median,
     pair_row,
@@ -292,6 +293,65 @@ def test_sweep_fixed_cases(g):
     assert sweep_median(g, budget=INF) == _median_reference(g)
 
 
+@st.composite
+def witness_graphs(draw):
+    """Graphs on 1..9 vertices with weights up to W, W from 1 to
+    SWEEP_MAX_WEIGHT, and zero weights in about half of them: zero-weight
+    cycles (diameter 0) and unreachable pairs (diameter INF) among them."""
+    n = draw(st.integers(1, 9))
+    weight = st.integers(draw(st.integers(0, 1)), draw(st.integers(1, SWEEP_MAX_WEIGHT)))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=3 * n))
+    return Graph(n, edges, undirected=draw(st.booleans()))
+
+
+def _sweep_witness_is_the_search_witness(g):
+    for variant in _variants(g):
+        found = []
+        ecc = sweep_ecc(g, variant, None, INF, found)
+        if ecc is None:
+            # Past ROUNDTRIP_MAX_LEVELS: a sweep that gives up gives no witness.
+            assert variant == "roundtrip" and found == []
+            continue
+        assert found == [eccentricity_report(g, variant, ecc).witness], variant
+
+
+@settings(max_examples=400, deadline=None)
+@given(witness_graphs())
+def test_sweep_witness_is_the_search_witness(g):
+    # The witness read from the sweep's levels, against the one found by a
+    # shortest-path run each way.
+    _sweep_witness_is_the_search_witness(g)
+
+
+@pytest.mark.parametrize("g", REPORT_CASES + SWEEP_CASES)
+def test_sweep_witness_is_the_search_witness_cases(g):
+    _sweep_witness_is_the_search_witness(g)
+
+
+def test_directed_max_sweeps_the_forward_arcs_once(monkeypatch):
+    # Max over every vertex reads rows and columns of one forward sweep;
+    # from sampled sources it still joins the sweeps both ways.
+    directions = []
+    plain = oracle._levels
+
+    def counted(g, direction, *args):
+        directions.append(direction)
+        return plain(g, direction, *args)
+
+    monkeypatch.setattr(oracle, "_levels", counted)
+    g = Graph(5, [(0, 1, 2), (1, 2, 1), (2, 0, 3), (2, 3, 1), (3, 4, 1), (4, 2, 0)])
+    assert sweep_eccentricities(g, "max", budget=INF).to_json() == reference_report(g, "max").to_json()
+    assert directions == [FORWARD]
+    directions.clear()
+    assert sweep_radius(g, "max", budget=INF) == reference_report(g, "max").radius
+    assert directions == [FORWARD]
+    directions.clear()
+    want = reference_report(g, "max").ecc
+    assert sweep_source_ecc(g, "max", [3, 0], budget=INF) == [want[3], want[0]]
+    assert directions == [BACKWARD, FORWARD]
+
+
 def test_sweep_fixed_values():
     def ecc(g, variant):
         return sweep_ecc(g, variant, budget=INF)
@@ -418,10 +478,15 @@ def test_levels_match_the_reduce_map_step():
                 sampled = [0] * n
                 for i, s in enumerate(rng.sample(range(n), rng.randint(1, n))):
                     sampled[s] = 1 << i
-                for adj in (g.adj_out, g.adj_in):
+                # The read table comes from the edges, and from the adjacency
+                # once a search has built it.
+                fresh = Graph._trusted(g.n, g.edges, g.undirected)
+                for direction, adj in (FORWARD, g.adj_out), (BACKWARD, g.adj_in):
                     for start in (None, sampled):
                         want = _settled_prefix(reference_levels(g, adj, weight, start))
-                        assert _settled_prefix(oracle._levels(g, adj, weight, start)) == want
+                        assert _settled_prefix(oracle._levels(fresh, direction, weight, start)) == want
+                        assert _settled_prefix(oracle._levels(g, direction, weight, start)) == want
+                assert not {"adj_out", "adj_in"} & vars(fresh).keys()
                 graphs += 1
     assert graphs == 320
 

@@ -6,13 +6,16 @@ the library block imports."""
 import inspect
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import ecclab
 from conftest import cli_flags
 from ecclab.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def blocks(lang):
@@ -45,3 +48,16 @@ def test_readme_flag_list_matches_the_parser():
     items = re.findall(r"^- `(\w+)`: (.*?)\.\n(?=-|\n)", README, re.M | re.S)
     listed = {name: set(re.findall(r"`(--[\w-]+)", flags)) for name, flags in items}
     assert listed == cli_flags()
+
+
+def test_pyversions_tool_compares_the_readme_steps():
+    # This interpreter against itself, in a second process: every step of
+    # README's examples gives the same digest.
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "pyversions.py"),
+                           "--python", sys.executable], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    header, row = proc.stdout.splitlines()
+    steps = len(blocks("python")) + sum(line.startswith("ecclab ")
+                                        for block in blocks("sh") for line in block.splitlines())
+    assert header.startswith(f"# {steps} README steps; reference Python ")
+    assert re.fullmatch(rf"\d+\.\d+\.\d+\S*\s+{steps}/{steps} steps match  \S+", row), row

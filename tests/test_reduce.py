@@ -53,6 +53,23 @@ def test_closed_neighborhoods():
     ]
 
 
+def test_columns_draw_the_hash_of_hashed_masks():
+    # _columns draws its hash in bulk; the stream must be one randrange per id,
+    # as hashed_masks draws it, and leave the generator in the same state.
+    for width in (1, 2, 3, 5, 8, 13, 64, 100, 1000, (1 << 40) + 3):
+        for n in (0, 1, 7, 300):
+            draws, reference = random.Random(width + n), random.Random(width + n)
+            col = reduce23._columns([1 << x for x in range(n)], width, draws)
+            if width < 1 << 12:
+                h = [m.bit_length() - 1 for m in hashed_masks([[x] for x in range(n)], width, reference)]
+            else:
+                # hashed_masks's masks 1 << h would not fit in memory; these
+                # are the draws it makes.
+                h = [reference.randrange(width) for _ in range(n)]
+            assert col == [sum(1 << x for x in range(n) if h[x] == h[w]) for w in range(n)]
+            assert draws.getstate() == reference.getstate()
+
+
 def test_hashed_masks_cover_members():
     rng = random.Random(1)
     nbhd = [frozenset({0, 5}), frozenset({3})]

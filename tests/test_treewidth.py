@@ -15,9 +15,9 @@ from conftest import (
     reference_eccentricities,
     reference_validate,
 )
-from ecclab import treewidth
+from ecclab import oracle, treewidth
 from ecclab.approx import approx_source_radius
-from ecclab.graph import BACKWARD, FORWARD, INF, Graph, truncated_shortest_paths
+from ecclab.graph import BACKWARD, FORWARD, INF, Graph, shortest_paths, truncated_shortest_paths
 from ecclab.oracle import VARIANTS, exact_eccentricities
 from ecclab.seeds import substream
 from ecclab.treewidth import (
@@ -459,6 +459,25 @@ def test_tw_tiny_graphs():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_tw_top_base_case_takes_the_witness_of_the_matrix_path(variant, monkeypatch):
+    # A top node of at most 16 vertices with weights past SWEEP_MAX_WEIGHT is
+    # a base case the sweep declines: the matrix path's n searches give the
+    # report, witness included, and no search follows.
+    rng = substream(9, "tw-top-base")
+    g, td = generate_partial_ktree(12, 2, 1.0, rng, directed=variant != "undirected", max_weight=100)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return shortest_paths(*args)
+
+    monkeypatch.setattr(oracle, "shortest_paths", counted)
+    report = tw_eccentricities(g, td, variant)
+    assert len(calls) == g.n
+    assert report.to_json() == exact_eccentricities(g, variant).to_json()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch, always_split):
     # A weighted k-tree with n = 200: for the directed variants both arcs of
     # every edge, weights 1..3.
@@ -469,9 +488,9 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch, always_split)
     swept = []
     sweep = treewidth.sweep_ecc
 
-    def unbounded_sweep(g, variant, cap, budget=None):
+    def unbounded_sweep(g, variant, cap, budget=None, found=None):
         # Every base case through the sweep, however much work it takes.
-        ecc = sweep(g, variant, cap, budget=INF)
+        ecc = sweep(g, variant, cap, INF, found)
         swept.append(ecc is not None)
         return ecc
 
@@ -490,11 +509,11 @@ def deepest_node(monkeypatch):
     deepest = [0]
     solve = treewidth._solve
 
-    def nested_solve(g, td, variant):
+    def nested_solve(g, td, variant, found=None):
         depth[0] += 1
         deepest[0] = max(deepest[0], depth[0])
         try:
-            return solve(g, td, variant)
+            return solve(g, td, variant, found)
         finally:
             depth[0] -= 1
 
