@@ -19,50 +19,54 @@ source, entry v of level t holds the sources within pair distance t of v
 (the sweep over the reversed arcs, joined for max by AND and for min by OR
 with the one over the forward arcs), and the eccentricity of source u is
 the first level at which bit u is in every joined mask.  ``sweep_ecc`` and
-``sweep_eccentricities`` seed it at every vertex, where max on a directed
-graph needs the forward sweep alone: its rows are the out-balls and its
-columns the in-balls (Then et al., VLDB 2014).  ``sampled_ecc`` seeds it
-at the samples of ``approx`` and returns their eccentricities alone, each
-from one shortest-path run each way where the sweep gives up.
+``sweep_eccentricities`` seed it at every vertex, where source and max on
+a directed graph need the forward sweep alone: its rows are the out-balls
+and its columns the in-balls (Then et al., VLDB 2014).  ``sampled_ecc``
+seeds it at the samples of ``approx`` and returns their eccentricities
+alone, each from one shortest-path run each way where the sweep gives up.
 ``sweep_median`` runs the sweep over the forward arcs from every vertex and
 reads rows: F_t[u], the v with d(u -> v) <= t, and the distance sum of u is
 the total over t of n - popcount(F_t[u]).
 
 Roundtrip is not a threshold of the two one-way masks, so ``sweep_ecc``
-keeps every level of both directions instead: with F_t[u] the v with
-d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, the eccentricity of u
-is the first r at which OR over t of F_t[u] & B_{r-t}[u] is full.
+keeps every level of both directions instead, F_t[u] the v with
+d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, and reads each
+vertex's eccentricity from its own two columns of them: the largest
+t + s over the shells F_t[u] & ~F_{t-1}[u], s the first level at which
+B_s[u] holds the shell (see ``_roundtrip_sweep``).
 
-Both sweeps are generators that yield once per level, so one level loop
+The sweeps are generators that yield once per level, so one level loop
 serves two readers: ``sweep_ecc`` runs it to the last level, and
 ``sweep_radius`` stops it at the first level at which some eccentricity is
-found, which is the radius.  The report's witness pair needs no search
-either: ``sweep_ecc`` reads it from the level before the diameter, which
-holds each vertex's pair distances below it (see ``_witness``).
-``eccentricity_report`` finds it by one shortest-path run each way for the
-eccentricities of other paths.
+found, which is the radius; the roundtrip sweep, which finds them all at
+once, yields once per level up to the radius after that.  The report's
+witness pair needs no search either: ``sweep_ecc`` reads it from the level
+before the diameter, which holds each vertex's pair distances below it (see
+``_witness``).  ``eccentricity_report`` finds it by one shortest-path run
+each way for the eccentricities of other paths.
 
 The sweep holds the last W + 1 levels, where W is the largest arc weight:
 (W + 1) n k / 8 bytes for k sources, twice that for min, and for max from
-sampled sources; the
-roundtrip sweep holds L n^2 / 8 bytes for L levels kept, at most
-``ROUNDTRIP_MAX_LEVELS``.  It returns None, for the caller to fall back to
-a matrix or row-by-row path, when W exceeds ``SWEEP_MAX_WEIGHT``, past the
-roundtrip level bound, for ``roundtrip`` from sampled sources, and once its
-work passes a budget set against the reference's (see ``sweep_source_ecc``
-and ``_roundtrip_sweep``).  ``ecclab exact`` and ``ecclab verify`` try it
-first, a radius check by ``sweep_radius``; the treewidth solver tries it at
-every recursion node, under a budget of what splitting the node would cost
-above its base cases.
+sampled sources; the roundtrip sweep holds L n^2 / 8 bytes for L levels
+kept, at most ``ROUNDTRIP_MAX_LEVELS`` or the bound its caller sets.  It
+returns None, for the caller to fall back to a matrix or row-by-row path,
+when W exceeds ``SWEEP_MAX_WEIGHT``, past the roundtrip level bound, for
+``roundtrip`` from sampled sources, and once its work passes a budget set
+against the reference's (see ``sweep_source_ecc`` and
+``_roundtrip_sweep``).  ``ecclab exact`` and ``ecclab verify`` try it first,
+a radius check by ``sweep_radius``; the treewidth solver tries it at every
+recursion node, under a budget of what splitting the node would cost above
+its base cases.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
-from operator import add, and_, or_
+from itertools import chain, repeat
+from operator import add, and_, itemgetter, or_
 
 from .graph import (
     BACKWARD,
@@ -92,6 +96,16 @@ DEFAULT_CAP = 5000
 # path at 93 MB (ru_maxrss, Python 3.11); max, one sweep, at 48 and 69 MB.
 # Time is bounded separately, by the work budget of ``sweep_source_ecc``.
 SWEEP_MAX_WEIGHT = 16
+
+# Most levels the roundtrip sweep keeps, over both directions, by default:
+# 64 levels of n^2 bits take the 8 bytes per vertex pair of the matrix path.
+# Each mask is an int object of about 36 bytes more, which counts at small
+# n: on cycles with both arcs, run to the bound, the sweep peaked under
+# tracemalloc at 1.31 MB against the matrix path's 0.81 MB at n = 300, and
+# at 7.6 against 23.9 MB at n = 1,000, where distances past 256 are int
+# objects of their own.  The benchmark's roundtrip graphs (216 to 343
+# vertices) keep 6 to 26 levels and peak below the matrix path.
+ROUNDTRIP_MAX_LEVELS = 64
 
 
 class CapacityError(RuntimeError):
@@ -244,30 +258,35 @@ def _zero_groups(n, zero):
 
 def _reads(g, direction):
     """The read table of a level step along the arcs u -> x of g (FORWARD)
-    or x -> u (BACKWARD), and its zero-weight arcs (u, x, 0): entry u reads
-    x, at unit weights, and else (w - 1) n + x for each arc of weight w > 0,
-    which is entry x of F_{t-w} in the last W levels laid end to end.  It is
-    read from g's adjacency where a search built that already, and else
-    from g.edges, so a sweep builds no adjacency list."""
+    or x -> u (BACKWARD), its zero-weight arcs (u, x, 0) and the set of its
+    arc weights above 0: entry u reads x, at unit weights, and else
+    (w - 1) n + x for each arc of weight w > 0, which is entry x of F_{t-w}
+    in the last W levels laid end to end.  It is read from g's adjacency
+    where a search built that already, and else from g.edges, so a sweep
+    builds no adjacency list."""
     n = g.n
+    weights = {1} if g.unit_weights else set(map(itemgetter(2), g.edges))
+    # The zero arcs are listed only where some arc has weight 0.
+    zeros = 0 in weights
+    weights.discard(0)
     adj = vars(g).get("adj_out" if direction == FORWARD or g.undirected else "adj_in")
     if adj is not None:
-        # Built by approx, the roundtrip guard or a split, and grouped by
-        # vertex as the table is: reading it took 11 ms on the directed
-        # 3-tree of _edge_reads, grouping the edges again 15.
+        # Built by approx or a split, and grouped by vertex as the table is:
+        # reading it took 11 ms on the directed 3-tree of _edge_reads,
+        # grouping the edges again 15.
         if g.unit_weights:
-            return [[x for x, _ in arcs] for arcs in adj], []
-        zero = [(u, x, 0) for u, arcs in enumerate(adj) for x, w in arcs if not w]
-        return [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj], zero
+            return [[x for x, _ in arcs] for arcs in adj], [], weights
+        zero = [(u, x, 0) for u, arcs in enumerate(adj) for x, w in arcs if not w] if zeros else []
+        return [[(w - 1) * n + x for x, w in arcs if w] for arcs in adj], zero, weights
     if not g.undirected:
-        return _edge_reads(g, direction == BACKWARD)
-    (out, zero_out), (inc, zero_in) = _edge_reads(g, False), _edge_reads(g, True)
-    return list(map(add, out, inc)), zero_out + zero_in
+        return (*_edge_reads(g, direction == BACKWARD, zeros), weights)
+    (out, zero_out), (inc, zero_in) = _edge_reads(g, False, zeros), _edge_reads(g, True, zeros)
+    return list(map(add, out, inc)), zero_out + zero_in, weights
 
 
-def _edge_reads(g, backward):
+def _edge_reads(g, backward, zeros):
     """``_reads`` from the edges (u, x, w) of g as arcs u -> x, or as arcs
-    x -> u if ``backward``."""
+    x -> u if ``backward``; the zero arcs are listed only if ``zeros``."""
     n = g.n
     reads = [[] for _ in range(n)]
     # A read table of its own for unit weights: the one weighted table for
@@ -288,11 +307,11 @@ def _edge_reads(g, backward):
     if backward:
         for e in g.edges:
             reads[e[1]].append(e)
-        zero = [(x, u, 0) for u, x, w in g.edges if not w]
+        zero = [(x, u, 0) for u, x, w in g.edges if not w] if zeros else []
         return [[(w - 1) * n + x for x, _, w in r if w] for r in reads], zero
     for e in g.edges:
         reads[e[0]].append(e)
-    zero = [e for e in g.edges if not e[2]]
+    zero = [e for e in g.edges if not e[2]] if zeros else []
     return [[(w - 1) * n + x for _, x, w in r if w] for r in reads], zero
 
 
@@ -309,14 +328,21 @@ def _levels(g, direction, weight, start=None):
     ``weight`` ones, so no later level changes either, and every later item
     is the same.  Stopping at the first unchanged level would be wrong when
     an arc of weight w > 1 has yet to bring in F_{t-w}.
+
+    Where no level t - w changed, for any arc weight w > 0 present, F_t is
+    F_{t-1}: every mask it would OR in is already in F_{t-1}.  That level is
+    the same list, built with no ORs.  On the min-diameter-weighted gadgets
+    (weights 1, 7 and 14) that is 36 of 56 levels per direction.
     """
     n = g.n
     if start is None:
         start = [1 << u for u in range(n)]
     full = reduce(or_, start, 0)
-    reads, zero = _reads(g, direction)
+    reads, zero, weights = _reads(g, direction)
     if zero:
         zero = _zero_groups(n, zero)
+    # Bit w - 1 for each arc weight w: the levels t - w that F_t reads.
+    read = sum(1 << (w - 1) for w in weights)
 
     def close(level):
         get = level.__getitem__
@@ -328,22 +354,29 @@ def _levels(g, direction, weight, start=None):
 
     level = close(list(start))
     past = deque([level] + [[0] * n] * (weight - 1), maxlen=weight)
-    still = 0
+    # Bit i set when level t - 1 - i changed, for the last `weight` levels;
+    # level 0 counts as a change from the empty level -1.
+    changed, last = 1, (1 << weight) - 1
     while True:
-        yield level, still >= weight
-        if still < weight:
-            # A plain loop: a level of the 543-vertex min-diameter-dag gadget took
-            # 228-316 against 416-565 us by reduce(or_, map(get, r), mask) per
-            # vertex (Python 3.10-3.13).  At weight 1 all reads are in `level`.
-            flat = level if weight == 1 else list(chain.from_iterable(past))
-            new = []
-            for r, mask in zip(reads, level):
-                if mask != full:
-                    for i in r:
-                        mask |= flat[i]
-                new.append(mask)
-            close(new)
-            still = still + 1 if new == level else 0
+        yield level, not changed
+        if changed:
+            if changed & read:
+                # A plain loop: a level of the 543-vertex min-diameter-dag
+                # gadget took 228-316 against 416-565 us by reduce(or_,
+                # map(get, r), mask) per vertex (Python 3.10-3.13).  At
+                # weight 1 all reads are in `level`.
+                flat = level if weight == 1 else list(chain.from_iterable(past))
+                new = []
+                for r, mask in zip(reads, level):
+                    if mask != full:
+                        for i in r:
+                            mask |= flat[i]
+                    new.append(mask)
+                close(new)
+                changed = (changed << 1 & last) | (new != level)
+            else:
+                new = level
+                changed = changed << 1 & last
             past.appendleft(new)
             level = new
 
@@ -357,22 +390,25 @@ def _sweep_setup(g, budget, rows):
     return weight, rows * g.n // 4 if budget is None else budget
 
 
-def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None, found=None):
+def sweep_ecc(g, variant, cap=DEFAULT_CAP, budget=None, found=None,
+              max_levels=ROUNDTRIP_MAX_LEVELS):
     """The eccentricities of ``exact_eccentricities`` from the level sweep,
     or None where ``sweep_source_ecc`` seeded at every vertex is None, or,
-    for ``roundtrip``, where ``_roundtrip_sweep`` gives up.  Where the sweep
-    answers and ``found`` is a list, the report's witness pair is appended
-    to it, read from the sweep's own levels (see ``_witness``)."""
+    for ``roundtrip``, where ``_roundtrip_sweep`` gives up, past
+    ``max_levels`` kept levels among others.  Where the sweep answers and
+    ``found`` is a list, the report's witness pair is appended to it, read
+    from the sweep's own levels (see ``_witness``)."""
     ecc = [INF] * g.n
     # The sweep runs to its last level unless it yields None, giving up.
-    return None if None in _sweep(g, variant, cap, budget, ecc, found) else ecc
+    return None if None in _sweep(g, variant, cap, budget, ecc, found, max_levels) else ecc
 
 
 def sweep_radius(g, variant, cap=DEFAULT_CAP, budget=None):
     """The radius of ``exact_eccentricities`` from the sweep of ``sweep_ecc``,
     stopped at the first level at which some eccentricity is found: that
     level is the radius, and INF when the sweep ends before it.  None where
-    the sweep gives up first."""
+    the sweep gives up first.  The roundtrip sweep finds every eccentricity
+    before its first item, so it saves nothing there."""
     for t, left in enumerate(_sweep(g, variant, cap, budget, [INF] * g.n)):
         if left is None:
             return None
@@ -381,14 +417,14 @@ def sweep_radius(g, variant, cap=DEFAULT_CAP, budget=None):
     return INF
 
 
-def _sweep(g, variant, cap, budget, ecc, found=None):
+def _sweep(g, variant, cap, budget, ecc, found=None, max_levels=ROUNDTRIP_MAX_LEVELS):
     """The sweep of ``sweep_ecc`` with every vertex a source, as a generator
     that fills in ecc, and ``found`` as ``sweep_ecc`` does; see
-    ``_source_sweep``."""
+    ``_source_sweep`` and ``_roundtrip_sweep``."""
     check_variant(g, variant)
     _check_cap(g, cap)
     if variant == ROUNDTRIP:
-        return _roundtrip_sweep(g, budget, ecc, found)
+        return _roundtrip_sweep(g, budget, ecc, found, max_levels)
     return _source_sweep(g, variant, range(g.n), budget, ecc, found)
 
 
@@ -403,20 +439,21 @@ def _fill(pending, masks, full, ecc, t):
     return left
 
 
-def _witness(ecc, masks, row, column):
+def _witness(ecc, masks, column):
     """The witness of ``_search_witness`` from a sweep that filled in ecc: u
     is the first vertex whose eccentricity is the diameter D, and v the
     lowest vertex other than u missing from u's joined set in ``masks``, the
     sweep's level D - 1, where the v at pair distance D from u are missing,
     or its settled level when D is INF.  masks None is level -1, where every
-    v is missing.  The joined set is row u (mask u) if ``row``, column u
-    (the v whose mask holds bit u) if ``column``, and the v in both if both."""
+    v is missing.  The joined set is row u (mask u), and if ``column`` only
+    the v in it that are also in column u (the v whose mask holds bit u);
+    without ``column``, masks needs only entry u."""
     if len(ecc) < 2:
         return None
     u = ecc.index(max(ecc))
     near = 1 << u
     if masks is not None:
-        joined = masks[u] if row else -1
+        joined = masks[u]
         if column:
             joined &= int("".join([str(m >> u & 1) for m in reversed(masks)]), 2)
         near |= joined
@@ -424,117 +461,116 @@ def _witness(ecc, masks, row, column):
     return u, (~near & (near + 1)).bit_length() - 1
 
 
-# Most levels the roundtrip sweep keeps, over both directions: 64 levels of
-# n^2 bits take the 8 bytes per vertex pair of the matrix path.  Each mask
-# is an int object of about 36 bytes more, which counts at small n: on
-# cycles with both arcs, run to the bound, the sweep peaked under tracemalloc
-# at 1.31 MB against the matrix path's 0.81 MB at n = 300, and at 7.6
-# against 23.9 MB at n = 1,000, where distances past 256 are int objects of
-# their own.  The benchmark's roundtrip graphs (216 to 343 vertices) keep 6
-# to 26 levels and peak below the matrix path.
-ROUNDTRIP_MAX_LEVELS = 64
+def _roundtrip_sweep(g, budget, ecc, found, max_levels):
+    """The roundtrip sweep, filling in ecc and ``found`` as ``_source_sweep``
+    does, from the levels F_t over the forward arcs and B_t over the
+    reversed ones, each kept up to the last level that changed: F_t[u]
+    holds the v with d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t.
 
+    Column u of each direction is read alone.  oe(u) and ie(u), the first
+    levels at which F_t[u] and B_t[u] are full, are found by bisection, as
+    the masks only grow.  The v at out-distance exactly t, the shell
+    F_t[u] & ~F_{t-1}[u], all reach u within s_t(u), the first s at which
+    B_s[u] holds the shell, so ecc(u) is the largest t + s_t(u).  t runs
+    down from oe(u) and stops once t + ie(u) cannot pass the largest so far;
+    a t whose shell is in B_s[u] for s = that largest - t cannot pass it.
+    The graph is not strongly connected exactly when some forward mask never
+    fills, and then every eccentricity is INF and no backward level is built.
+    Where the forward levels pass ``max_levels`` or ``budget`` before they
+    settle, the strongly connected components tell that instead.
 
-def _kept_levels(g, direction, weight):
-    """Yield, for t = 0, 1, 2, ..., the levels [F_0, ..., F_t] of
-    ``_levels(g, direction, weight)`` until they settle, and from then on
-    [F_0, ..., F_L], L the last level that brought a change."""
-    kept = []
-    for level, settled in _levels(g, direction, weight):
-        if settled:
-            # The last `weight` levels kept equal F_L.
-            del kept[len(kept) - weight + 1:]
-            while True:
-                yield kept
-        kept.append(level)
-        yield kept
+    The generator yields nothing while it builds the levels, and None, to
+    stop, where it gives up: when the largest weight exceeds
+    SWEEP_MAX_WEIGHT, when the levels kept pass ``max_levels``, or once the
+    work, the masks not yet full summed over the levels of both directions,
+    passes ``budget``.  Where it answers, it then yields, for r = 0 up to
+    the radius, the number of eccentricities above r, which is what
+    ``sweep_radius`` reads.
 
-
-def _roundtrip_sweep(g, budget, ecc, found=None):
-    """The roundtrip sweep, yielding and filling in ecc and ``found`` as
-    ``_source_sweep`` does: roundtrip eccentricities from the levels F_t over
-    the forward arcs and B_t over the reversed ones, all kept: F_t[u] holds
-    the v with d(u -> v) <= t and B_t[u] the v with d(v -> u) <= t, so
-    ecc(u) is the first r at which OR over t of F_t[u] & B_{r-t}[u] is
-    full.  Past the guard below the graph is strongly connected, so with LF and LB the
-    levels at which the two directions settle, every mask is full by
-    r = LF + LB.
-
-    It gives up when the largest weight exceeds SWEEP_MAX_WEIGHT, when the
-    kept levels pass ROUNDTRIP_MAX_LEVELS, or once the work, the mask ANDs,
-    passes ``budget``, by default n^2.  Run to the end, the sweep cost 0.07
-    to 0.68 times the matrix path on 1-, 2- and 3-trees of 100 to 400
-    vertices with both arcs (weights 1 or 1..3) that needed at most n^2
-    ANDs, and 1.8 to 2.3 times on grids of 100 and 196 vertices with both
-    arcs, the worst family tried, at 3.6 n^2.  The benchmark's directed
-    3-trees of 250 vertices need 0.4 to 0.7 n^2 (seeds 1 to 12).
-
-    One shortest-path run each way from vertex 0 comes first.  If ecc(0) is
-    INF the graph is not strongly connected and every eccentricity is INF.
-    Else vertex 0 stays pending up to r = ecc(0), with the levels of each
-    direction changing up to the largest one-way distance from or to vertex
-    0 at least, so a sweep whose work would pass the budget by then does not
-    start.  When the tw solver still split the benchmark's ``tw-ktree`` jobs,
-    its 74 roundtrip base cases at seed 1 (7 to 60 vertices, eccentricities
-    close to n) took 1.9 to 2.1 times the matrix path without that guard, for
-    sweeps that gave up and then the matrix path, and 1.3 times with it (4 of
-    them start).  Since the sweep answers every ``tw-ktree`` job at the top
-    node, no benchmark job reaches a base case, so no benchmark times the guard.
+    The default budget is n^2 / 2, the n^2 / 4 of one sweep in
+    ``sweep_source_ecc`` for each direction.  Run to the end, the sweep
+    cost 0.04 to 0.42 times the matrix path on 1-, 2- and 3-trees of 100 to
+    400 vertices with both arcs (weights 1 or 1..3) and on grids of 100 and
+    196 vertices, none of which needed more than 0.37 n^2 work; on cycles
+    with both arcs, whose masks all stay open to level n / 2, it needs n^2
+    and cost 1.1 to 1.2 times.  The benchmark's 60-vertex directed 2-trees
+    (weights 1..3) need 0.25 to 0.32 n^2, and the sweep answers them in 0.5
+    to 0.9 ms, where the matrix path takes about 4.
     """
     n = g.n
-    setup = _sweep_setup(g, budget, 4 * n)
+    setup = _sweep_setup(g, budget, 2 * n)
     if setup is None:
         yield None
         return
     if n == 0:
         return
     weight, budget = setup
-    out_row, in_row = _rows(g, ROUNDTRIP, 0)
-    ecc0 = max(pair_row(ROUNDTRIP, out_row, in_row))
-    if ecc0 == INF:
-        # Not strongly connected: every eccentricity stays INF, and vertex
-        # 0's two rows hold the witness.
-        if found is not None:
-            found.append(_search_witness(ROUNDTRIP, ecc, lambda u: (out_row, in_row)))
-        return
-    # Each direction's levels change up to the largest one-way distance.
-    last = max(max(out_row), max(in_row))
-    floor = 0
-    for r in range(ecc0):
-        floor += n * (min(r, last) - max(0, r - last) + 1)
-        if floor > budget:
-            yield None
-            return
     full = (1 << n) - 1
-    pending = range(n)
     work = 0
-    prev = before = None
-    levels = zip(_kept_levels(g, FORWARD, weight), _kept_levels(g, BACKWARD, weight))
-    for r, (fwd, bwd) in enumerate(levels):
-        if len(fwd) + len(bwd) > ROUNDTRIP_MAX_LEVELS:
-            yield None
-            return
-        # F_t for t past the last kept level is the last one, and likewise
-        # B_{r-t}, so only the t from lo to hi add to the join.
-        lo, hi = max(0, r - len(bwd) + 1), min(r, len(fwd) - 1)
-        terms = zip(fwd[lo:hi + 1], reversed(bwd[r - hi:r - lo + 1]))
-        joined = map(and_, *next(terms))
-        for f, b in terms:
-            joined = map(or_, joined, map(and_, f, b))
-        joined = list(joined)
-        left = _fill(pending, joined, full, ecc, r)
-        if len(left) < len(pending):
-            before = prev
-        prev, pending = joined, left
-        yield len(pending)
+    kept = []
+    for direction in (FORWARD, BACKWARD):
+        levels = []
+        kept.append(levels)
+        pending = range(n)
+        for level, settled in _levels(g, direction, weight):
+            if settled:
+                # The last `weight` levels equal the one before them.
+                del levels[len(levels) - weight + 1:]
+                break
+            levels.append(level)
+            if sum(map(len, kept)) > max_levels:
+                break
+            pending = [v for v in pending if level[v] != full]
+            if not pending:
+                break
+            work += len(pending)
+            if work > budget:
+                break
         if not pending:
+            continue
+        if settled:
+            # Not strongly connected.  Row 0 of the settled level holds the
+            # v that 0 reaches and column 0 the v that reach 0.
             if found is not None:
-                found.append(_witness(ecc, before, True, False))
+                found.append(_witness(ecc, levels[-1], True))
             return
-        work += n * (hi - lo + 1)
-        if work > budget:
+        # Past the level bound or the budget.  In the forward direction, the
+        # strongly connected components tell, for two depth-first searches,
+        # whether every eccentricity is INF all the same; the witness is
+        # then 0 and the lowest vertex outside its component.
+        comp = [] if direction == BACKWARD else condense_scc(g)[0]
+        if 1 not in comp:
             yield None
             return
+        if found is not None:
+            found.append((0, comp.index(1)))
+        return
+    fwd, bwd = kept
+    for u, (out_col, in_col) in enumerate(zip(zip(*fwd), zip(*bwd))):
+        ie = bisect_left(in_col, full)
+        best = 0
+        for t in range(bisect_left(out_col, full), -1, -1):
+            if t + ie <= best:
+                break
+            shell = out_col[t] & ~out_col[t - 1] if t else out_col[0]
+            s = best - t
+            if s >= 0 and not shell & ~in_col[s]:
+                continue
+            # s_t(u) is past s and at most ie.
+            best = t + bisect_left(in_col, True, max(s + 1, 0), ie, key=lambda b: not shell & ~b)
+        ecc[u] = best
+    if found is not None:
+        # u's set at level D - 1: the v in F_t[u] & B_{D-1-t}[u] for some t,
+        # each direction's last level standing for the levels past it.
+        d = max(ecc)
+        u = ecc.index(d)
+        last_out, last_in = len(fwd) - 1, len(bwd) - 1
+        joined = reduce(or_, (fwd[min(t, last_out)][u] & bwd[min(d - 1 - t, last_in)][u]
+                              for t in range(d)), 0)
+        found.append(_witness(ecc, {u: joined} if d else None, False))
+    radius = min(ecc)
+    yield from repeat(n, radius)
+    yield n - ecc.count(radius)
 
 
 def sweep_eccentricities(g, variant, cap=DEFAULT_CAP, budget=None):
@@ -575,12 +611,13 @@ def sweep_source_ecc(g, variant, sources, budget=None):
     d(v -> s_i) <= t.  Max joins the two by AND and min by OR, so an entry
     of the join holds the i whose pair distance to v is at most t.  ecc[i]
     is the first t at which bit i is set in every joined mask, and INF where
-    that never comes.  With every vertex a source, max on a directed graph
-    runs the sweep over the forward arcs alone (see ``_source_sweep``).
+    that never comes.  With every vertex a source, source and max on a
+    directed graph run the sweep over the forward arcs alone (see
+    ``_source_sweep``).
 
     The work is the number of masks found not full, summed over the levels;
-    a level does its ORs only for those, and in the one sweep of max over
-    every vertex, those are the rows not yet full.  The default budget is
+    a level does its ORs only for those, and in the one sweep of source or
+    max over every vertex, those are the rows not yet full.  The default budget is
     len(sources) * n / 4, a quarter of the len(sources) single-source runs
     of the reference, n^2 / 4 when every vertex is a source.  Measured with
     every vertex a source on paths, cycles, directed paths and chains of
@@ -611,12 +648,13 @@ def _source_sweep(g, variant, sources, budget, ecc, found=None):
     levels stops taking items, and no later level is built.  With every
     vertex a source, ``found`` is filled in as ``sweep_ecc`` says.
 
-    With every vertex a source, max on a directed graph takes one sweep,
-    over the forward arcs from F_0[v] = 1 << v: mask u of level t is then
-    row u, the v with d(u -> v) <= t, and the masks holding bit u are column
-    u, the v with d(v -> u) <= t.  Row u fills at u's out-eccentricity, bit
-    u enters the AND of all masks at its in-eccentricity, and ecc[u] is the
-    later of the two levels.
+    With every vertex a source, source and max on a directed graph take one
+    sweep, over the forward arcs from F_0[v] = 1 << v: mask u of level t is
+    then row u, the v with d(u -> v) <= t, and the masks holding bit u are
+    column u, the v with d(v -> u) <= t.  Row u fills at u's
+    out-eccentricity, its source eccentricity, so only the rows not yet
+    full count as work.  Under max, bit u enters the AND of all masks at
+    u's in-eccentricity, and ecc[u] is the later of the two levels.
     """
     setup = _sweep_setup(g, budget, len(sources))
     if setup is None:
@@ -630,7 +668,7 @@ def _source_sweep(g, variant, sources, budget, ecc, found=None):
     full = (1 << len(sources)) - 1
     every = sources == range(n)
     rows = every and variant == MAX and not g.undirected
-    levels = _levels(g, FORWARD if rows else BACKWARD, weight, start)
+    levels = _levels(g, FORWARD if every and variant in (SOURCE, MAX) else BACKWARD, weight, start)
     # On an undirected graph the sweeps over both arc directions are one.
     if variant in (MAX, MIN) and not g.undirected and not rows:
         join = and_ if variant == MAX else or_
@@ -638,9 +676,10 @@ def _source_sweep(g, variant, sources, budget, ecc, found=None):
             (list(map(join, f, b)), f_settled and b_settled)
             for (f, f_settled), (b, b_settled) in zip(levels, _levels(g, FORWARD, weight, start))
         )
-    # With every vertex a source and a symmetric join, mask v is also the
-    # row of source v, so ecc[v] is the first level at which it is full.
-    by_row = every and (variant == MIN or g.undirected)
+    # With every vertex a source, mask v is the row of source v for source
+    # over the forward arcs and for a symmetric join, so ecc[v] is the first
+    # level at which it is full.
+    by_row = every and (variant != MAX or g.undirected)
     pending = range(n)
     unknown = len(sources)
     # The bits in every mask; under max over rows, also the rows that are
@@ -680,7 +719,7 @@ def _source_sweep(g, variant, sources, budget, ecc, found=None):
             prev, unknown = masks, left
         if not pending or settled:
             if found is not None:
-                found.append(_witness(ecc, masks if left else before, by_row or rows, not by_row))
+                found.append(_witness(ecc, masks if left else before, rows))
             return
         work += len(pending)
         if work > budget:

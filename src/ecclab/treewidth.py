@@ -47,6 +47,7 @@ from .graph import (
 from .oracle import (
     MAX,
     MIN,
+    ROUNDTRIP_MAX_LEVELS,
     SOURCE,
     UNDIRECTED,
     check_variant,
@@ -517,22 +518,25 @@ _SWEEP_PER_SPLIT = 4
 
 
 def _sweep_budget(g, width):
-    """The work budget, in mask operations, under which the level sweep
-    answers a recursion node for less than splitting it; None when its level
-    masks would outgrow the node's own footprint.
+    """(work budget in mask operations, most levels kept) under which the
+    level sweep answers a recursion node for less than splitting it, and in
+    no more memory; None when W + 1 levels of n masks, what every variant
+    holds, would outgrow the node's own footprint.
 
     Splitting costs about (n + m)(width + 1) log n machine words, and one
-    mask operation touches ceil(n / 64) of them.  The sweep holds W + 1
-    levels of n masks, W the largest weight, so it is not tried when they
-    would pass 2 _SWEEP_PER_SPLIT (n + m)(width + 1) words: it builds the
-    first level before it checks any budget.
+    mask operation touches ceil(n / 64) of them.  The sweep's levels may
+    take 2 _SWEEP_PER_SPLIT (n + m)(width + 1) words, so few enough
+    levels of n masks; only the roundtrip sweep keeps more than W + 1, and
+    it gives up past them.  The gate comes first because the sweep builds
+    its first level before it checks any budget.
     """
     n = g.n
     words = -(-n // 64)
     size = _SWEEP_PER_SPLIT * (n + g.m) * (width + 1)
-    if (max(1, g.max_weight) + 1) * n * words > 2 * size:
+    levels = 2 * size // (n * words)
+    if max(1, g.max_weight) + 1 > levels:
         return None
-    return size * n.bit_length() // words
+    return size * n.bit_length() // words, levels
 
 
 def _solve(g, td, variant, found=None):
@@ -547,9 +551,10 @@ def _solve(g, td, variant, found=None):
     """
     n = g.n
     base = n <= max(td.width ** 3, 16)
-    budget = None if base else _sweep_budget(g, td.width)
-    if base or budget is not None:
-        ecc = sweep_ecc(g, variant, None, budget, found)
+    limits = (None, ROUNDTRIP_MAX_LEVELS) if base else _sweep_budget(g, td.width)
+    if limits is not None:
+        budget, levels = limits
+        ecc = sweep_ecc(g, variant, None, budget, found, levels)
         if ecc is not None:
             return ecc
     if base:

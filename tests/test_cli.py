@@ -660,10 +660,11 @@ def _searches(monkeypatch, allowed):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sweep_answered_reports_run_no_search(tmp_path, monkeypatch, capsys, variant):
     # exact and tw --td read the witness pair from the sweep's levels, so a
-    # graph the sweep answers takes no shortest-path run, but for the two of
-    # the roundtrip guard.  The directed graph has both arcs of every edge of
-    # a 3-tree, weighted 1..2 each; under roundtrip a second one drops the
-    # arcs out of vertex 0, and the witness comes from the guard's rows.
+    # graph the sweep answers takes no shortest-path run.  The directed
+    # graph has both arcs of every edge of a 3-tree, weighted 1..2 each;
+    # under roundtrip a second one drops the arcs out of vertex 0, so it is
+    # not strongly connected, and the witness comes from the settled forward
+    # level.
     monkeypatch.chdir(tmp_path)
     rng = substream(8, "no-search")
     g, td = generate_partial_ktree(60, 3, 1.0, rng, max_weight=2)
@@ -678,11 +679,11 @@ def test_sweep_answered_reports_run_no_search(tmp_path, monkeypatch, capsys, var
         (tmp_path / "g.graph").write_text(write_graph(h))
         want = reference_report(h, variant).to_json()
         for argv in (["exact"], ["tw", "--td", "g.td"]):
-            calls = _searches(monkeypatch, 2 if variant == "roundtrip" else 0)
+            calls = _searches(monkeypatch, 0)
             code, printed, _ = run([*argv, "--input", "g.graph", "--variant", variant,
                                     "--format", "json"], capsys)
             assert (code, printed) == (0, want), argv
-            assert calls == ([(0, "forward"), (0, "backward")] if variant == "roundtrip" else [])
+            assert calls == []
 
 
 def test_tw_refuses_a_decomposition_with_no_bags(tmp_path, monkeypatch, capsys):

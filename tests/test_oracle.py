@@ -34,6 +34,8 @@ from ecclab.oracle import (
     sweep_radius,
     sweep_source_ecc,
 )
+from ecclab.seeds import substream
+from ecclab.treewidth import generate_partial_ktree
 
 
 def test_pair_row_definitions():
@@ -330,8 +332,9 @@ def test_sweep_witness_is_the_search_witness_cases(g):
 
 
 def test_directed_max_sweeps_the_forward_arcs_once(monkeypatch):
-    # Max over every vertex reads rows and columns of one forward sweep;
-    # from sampled sources it still joins the sweeps both ways.
+    # Max over every vertex reads rows and columns of one forward sweep, and
+    # source its rows; from sampled sources max still joins the sweeps both
+    # ways.
     directions = []
     plain = oracle._levels
 
@@ -350,6 +353,25 @@ def test_directed_max_sweeps_the_forward_arcs_once(monkeypatch):
     want = reference_report(g, "max").ecc
     assert sweep_source_ecc(g, "max", [3, 0], budget=INF) == [want[3], want[0]]
     assert directions == [BACKWARD, FORWARD]
+    directions.clear()
+    assert sweep_eccentricities(g, "source", budget=INF).to_json() == \
+        reference_report(g, "source").to_json()
+    assert directions == [FORWARD]
+
+
+def test_directed_source_sweep_counts_only_rows_not_yet_full():
+    # A 2-tree with both arcs of every edge, weighted 1..3, and without
+    # vertex 0's out-arcs: vertex 0 reaches nobody, so no column of the
+    # reversed sweep fills, but every other row of the forward one does, and
+    # the sweep answers under the default budget.
+    rng = substream(8, "no-search")
+    g, _ = generate_partial_ktree(60, 2, 1.0, rng, max_weight=3)
+    arcs = [(x, y, rng.randint(1, 3)) for u, v, _ in g.edges for x, y in ((u, v), (v, u))]
+    g = Graph(g.n, [a for a in arcs if a[0] != 0])
+    found = []
+    ecc = sweep_ecc(g, "source", found=found)
+    assert eccentricity_report(g, "source", ecc, found).to_json() == \
+        reference_report(g, "source").to_json()
 
 
 def test_sweep_fixed_values():
@@ -432,13 +454,13 @@ def test_sweep_gives_up_past_its_work_budget():
     assert sweep_median(path, budget=70) == _median_reference(path)
     # Masks that never fill count until the sweep settles, W = 2 unchanged
     # levels after the last change at level 3, so at levels 0 to 4.  Under
-    # source the masks are columns, entry v the vertices that reach v, and no
-    # vertex is reached by all: 12 * 5.
+    # source the masks are the rows of the forward sweep, and vertex 0's
+    # fills at level 3: 12 + 12 + 12 + 11 + 11.
     tail = Graph(12, [(0, i, 1) for i in range(1, 10)] + [(10, 11, 2), (0, 10, 1)])
-    assert sweep_ecc(tail, "source", budget=59) is None
-    assert sweep_ecc(tail, "source", budget=60) == [3] + [INF] * 11
-    # Under min the joined masks are symmetric, so a column is a row: vertex
-    # 0's fills at level 3, 12 + 12 + 12 + 11 + 11.
+    assert sweep_ecc(tail, "source", budget=57) is None
+    assert sweep_ecc(tail, "source", budget=58) == [3] + [INF] * 11
+    # Under min the joined masks are symmetric, so a column is a row, and
+    # the count is the same.
     assert sweep_ecc(tail, "min", budget=57) is None
     assert sweep_ecc(tail, "min", budget=58) == [3] + [INF] * 11
     # 10 + 9 masks on a star, within the default budget; 5 * 10 on a cycle,
@@ -491,53 +513,90 @@ def test_levels_match_the_reduce_map_step():
     assert graphs == 320
 
 
-def _never_levels(*args):
-    raise AssertionError("no level should be built")
+@st.composite
+def roundtrip_graphs(draw):
+    """Graphs on 1..9 vertices whose weights come from a set of one to three
+    drawn from 0..SWEEP_MAX_WEIGHT, sparse ones such as {1, 7, 14} among
+    them.  Half have a cycle through every vertex, so they are strongly
+    connected, with zero-weight cycles where the set holds 0; most of the
+    others are not."""
+    n = draw(st.integers(1, 9))
+    weights = draw(st.lists(st.integers(0, SWEEP_MAX_WEIGHT), min_size=1, max_size=3, unique=True))
+    weight = st.sampled_from(weights)
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight), max_size=2 * n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += [(order[i - 1], order[i], draw(weight)) for i in range(n)]
+    return Graph(n, edges, undirected=draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(roundtrip_graphs())
+def test_roundtrip_sweep_matches_reference_report(g):
+    # With no bound on work or levels kept, the sweep answers every graph.
+    found = []
+    ecc = sweep_ecc(g, "roundtrip", None, INF, found, INF)
+    want = reference_report(g, "roundtrip")
+    assert eccentricity_report(g, "roundtrip", ecc, found).to_json() == want.to_json()
+    assert sweep_radius(g, "roundtrip", None, INF) in (None, want.radius)
+
+
+def _no_search(*args):
+    raise AssertionError("no shortest-path search should run")
 
 
 def test_roundtrip_sweep_fixed_values(monkeypatch):
+    monkeypatch.setattr(oracle, "shortest_paths", _no_search)
     # A zero-weight cycle 0 -> 1 -> 2 -> 0 and the way 2 -2-> 3 -1-> 0 back.
     cycle = Graph(4, [(0, 1, 0), (1, 2, 0), (2, 0, 0), (2, 3, 2), (3, 0, 1)])
     assert sweep_ecc(cycle, "roundtrip", budget=INF) == [3] * 4
     assert sweep_ecc(Graph(3, [(0, 1, 0), (1, 2, 0), (2, 0, 0)]), "roundtrip") == [0] * 3
     assert sweep_ecc(Graph(1), "roundtrip") == [0]
-    # Not strongly connected: every eccentricity is INF, from the two
-    # searches out of vertex 0 alone.
-    monkeypatch.setattr(oracle, "_levels", _never_levels)
-    assert sweep_ecc(Graph(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)]), "roundtrip",
-                     budget=INF) == [INF] * 4
-    assert sweep_ecc(Graph(3, [(1, 0, 1), (1, 2, 1), (2, 1, 1)]), "roundtrip") == [INF] * 3
+    # Not strongly connected: every eccentricity is INF, read off the
+    # settled forward level, and the witness is vertex 0 and the lowest
+    # vertex not on a cycle through it: 3, which 0 reaches and which does
+    # not reach 0, and 1, which 0 does not reach.
+    for g, witness in ((Graph(4, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (2, 3, 1)]), (0, 3)),
+                       (Graph(3, [(1, 0, 1), (1, 2, 1), (2, 1, 1)]), (0, 1))):
+        found = []
+        assert sweep_ecc(g, "roundtrip", None, INF, found) == [INF] * g.n
+        assert found == [witness] == [reference_report(g, "roundtrip").witness]
+    # Where the forward levels pass the level bound (64) or the budget before
+    # they settle, the strongly connected components tell the same: a
+    # directed path, and a directed cycle with a vertex 100 that reaches it
+    # but is not reached from it.
+    line = Graph(100, [(i, i + 1, 1) for i in range(99)])
+    ring = Graph(101, [(i, (i + 1) % 100, 1) for i in range(100)] + [(100, 0, 1)])
+    for g, witness in ((line, (0, 1)), (ring, (0, 100))):
+        found = []
+        assert sweep_ecc(g, "roundtrip", found=found) == [INF] * g.n
+        assert found == [witness] == [reference_report(g, "roundtrip").witness]
 
 
-def test_roundtrip_sweep_gives_up_past_its_work_budget(monkeypatch):
-    # A path 2 - 1 - 0 - 3 - 4 with both arcs of every edge.  Vertex 0 stays
-    # pending up to r = ecc(0) = 4, so the sweep does 5 (1 + 2 + 3 + 2) = 40
-    # mask ANDs at least, from the levels up to max d(0 -> v) = max d(v -> 0)
-    # = 2; it does 5 (1 + 2 + 3 + 4 + 5) at r = 0 to 4 and, once the levels
-    # have settled at 4 and W = 1 level later, 5 (4 + 3 + 2) at r = 5 to 7,
-    # 120 in all.  The default budget is 5^2.
+def test_roundtrip_sweep_gives_up_past_its_work_budget():
+    # A path 2 - 1 - 0 - 3 - 4 with both arcs of every edge.  Its one-way
+    # eccentricities are 2, 3, 4, 3, 4 each way, so the masks not yet full
+    # at the levels 0 to 3 of each direction number 5 + 5 + 4 + 2, and at
+    # level 4 all are: 32 in all.  The default budget is 2 * 5^2 // 4.
     arms = [(0, 1), (1, 2), (0, 3), (3, 4)]
     path = Graph(5, [(u, v, 1) for u, v in arms] + [(v, u, 1) for u, v in arms])
     answer = [4, 6, 8, 6, 8]
     assert exact_eccentricities(path, "roundtrip").ecc == answer
-    assert sweep_ecc(path, "roundtrip", budget=40) is None
-    assert sweep_ecc(path, "roundtrip", budget=119) is None
-    assert sweep_ecc(path, "roundtrip", budget=120) == answer
-    # At weight 2 the levels settle W = 2 levels after the last change, at 8,
-    # and are cut back to F_0 .. F_8: 5 (1 + 2 + ... + 10) at r = 0 to 9,
-    # then 5 (7 + 6 + 5 + 4 + 3 + 2) at r = 10 to 15, 410 in all.
-    doubled = Graph(5, [(u, v, 2) for u, v, _ in path.edges])
-    assert sweep_ecc(doubled, "roundtrip", budget=409) is None
-    assert sweep_ecc(doubled, "roundtrip", budget=410) == [2 * e for e in answer]
-    # Below the 40 ANDs of vertex 0 alone, the sweep does not start.
-    monkeypatch.setattr(oracle, "_levels", _never_levels)
     assert sweep_ecc(path, "roundtrip") is None
-    assert sweep_ecc(path, "roundtrip", budget=39) is None
+    assert sweep_ecc(path, "roundtrip", budget=31) is None
+    assert sweep_ecc(path, "roundtrip", budget=32) == answer
+    # At weight 2 every level is counted twice, the odd ones built with no
+    # ORs: 2 (5 + 5 + 4 + 2) a direction, 64 in all.
+    doubled = Graph(5, [(u, v, 2) for u, v, _ in path.edges])
+    assert sweep_ecc(doubled, "roundtrip", budget=63) is None
+    assert sweep_ecc(doubled, "roundtrip", budget=64) == [2 * e for e in answer]
 
 
 def test_roundtrip_sweep_gives_up_past_its_memory_bound():
-    # On a path of n vertices with both arcs of every edge, the levels of
-    # each direction settle at n - 1, so the sweep keeps 2n levels at most.
+    # On a path of n vertices with both arcs of every edge, every mask of
+    # each direction is full at level n - 1, so the sweep keeps F_0 .. F_{n-1}
+    # and B_0 .. B_{n-1}: 2n levels.
     def path(n):
         edges = [(i, i + 1) for i in range(n - 1)]
         return Graph(n, edges + [(v, u) for u, v in edges])
@@ -545,6 +604,8 @@ def test_roundtrip_sweep_gives_up_past_its_memory_bound():
     n = ROUNDTRIP_MAX_LEVELS // 2
     assert sweep_ecc(path(n), "roundtrip", budget=INF) == reference_report(path(n), "roundtrip").ecc
     assert sweep_ecc(path(n + 1), "roundtrip", budget=INF) is None
+    assert sweep_ecc(path(5), "roundtrip", None, INF, None, 10) == [8, 6, 4, 6, 8]
+    assert sweep_ecc(path(5), "roundtrip", None, INF, None, 9) is None
 
 
 def test_sweep_capacity_and_variant_checks():

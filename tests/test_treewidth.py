@@ -488,9 +488,9 @@ def test_tw_base_cases_run_through_the_sweep(variant, monkeypatch, always_split)
     swept = []
     sweep = treewidth.sweep_ecc
 
-    def unbounded_sweep(g, variant, cap, budget=None, found=None):
+    def unbounded_sweep(g, variant, cap, budget=None, *args):
         # Every base case through the sweep, however much work it takes.
-        ecc = sweep(g, variant, cap, INF, found)
+        ecc = sweep(g, variant, cap, INF, *args)
         swept.append(ecc is not None)
         return ecc
 
@@ -509,11 +509,11 @@ def deepest_node(monkeypatch):
     deepest = [0]
     solve = treewidth._solve
 
-    def nested_solve(g, td, variant, found=None):
+    def nested_solve(*args):
         depth[0] += 1
         deepest[0] = max(deepest[0], depth[0])
         try:
-            return solve(g, td, variant, found)
+            return solve(*args)
         finally:
             depth[0] -= 1
 
@@ -582,6 +582,25 @@ def test_tw_answers_ktrees_by_the_sweep_under_the_budget(monkeypatch):
         for seed in range(2):
             g, td = connected_ktree(seed, variant, n=300)
             assert tw_eccentricities(g, td, variant).ecc == exact_eccentricities(g, variant).ecc
+
+
+def test_tw_bounds_the_levels_the_roundtrip_sweep_keeps(monkeypatch):
+    # The top node of this directed 3-tree affords 22 levels of n masks, and
+    # the roundtrip sweep needs 26 there: within its work budget and its own
+    # bound of 64, but past the node's, so the node splits.
+    g, td = connected_ktree(0, "roundtrip", n=600)
+    budget, levels = treewidth._sweep_budget(g, td.width)
+    assert oracle.sweep_ecc(g, "roundtrip", None, budget) is not None
+    assert oracle.sweep_ecc(g, "roundtrip", None, budget, None, levels) is None
+    splits = []
+
+    def counted_split(*args):
+        splits.append(args[0].n)
+        return find_portal_split(*args)
+
+    monkeypatch.setattr(treewidth, "find_portal_split", counted_split)
+    assert tw_eccentricities(g, td, "roundtrip").ecc == exact_eccentricities(g, "roundtrip").ecc
+    assert splits[0] == g.n
 
 
 def test_tw_skips_the_sweep_past_the_memory_gate(monkeypatch):
